@@ -1,9 +1,10 @@
 // Configuration of the PPM runtime and the ppm::run entry point.
 #pragma once
 
+#include <array>
 #include <cstdint>
-
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/report.hpp"
@@ -167,6 +168,46 @@ struct PpmConfig {
   RuntimeOptions runtime{};
 };
 
+/// Messages and payload bytes the runtime handed to the fabric.
+struct WireCount {
+  uint64_t messages = 0;
+  uint64_t bytes = 0;
+};
+
+/// Runtime traffic per wire kind (detail::RtMsg), counted at the sender's
+/// rt_send. Tokens carry barriers, the commit exchange and the node
+/// collectives; the node's shutdown message to itself is not counted.
+struct WireTraffic {
+  WireCount bundle;    // kBundle write fragments
+  WireCount accum;     // kAccumList + kAccumBlock
+  WireCount token;     // kToken
+  WireCount get;       // kGetBlock + kGetIndexed demand requests
+  WireCount get_list;  // kGetBlockList coalesced requests
+  WireCount prefetch;  // kPrefetchBlock lookahead requests
+  WireCount get_resp;  // kGetResp replies
+  WireCount migrate;   // kMigrateBlock locality-engine moves
+
+  /// Every kind as (name, member), in declaration order.
+  static constexpr auto kinds() {
+    using K = std::pair<const char*, WireCount WireTraffic::*>;
+    return std::array<K, 8>{{{"bundle", &WireTraffic::bundle},
+                             {"accum", &WireTraffic::accum},
+                             {"token", &WireTraffic::token},
+                             {"get", &WireTraffic::get},
+                             {"get_list", &WireTraffic::get_list},
+                             {"prefetch", &WireTraffic::prefetch},
+                             {"get_resp", &WireTraffic::get_resp},
+                             {"migrate", &WireTraffic::migrate}}};
+  }
+  WireTraffic& operator+=(const WireTraffic& o) {
+    for (const auto& [name, kind] : kinds()) {
+      (this->*kind).messages += (o.*kind).messages;
+      (this->*kind).bytes += (o.*kind).bytes;
+    }
+    return *this;
+  }
+};
+
 /// Aggregate results of one ppm::run, for benches and tests.
 struct RunResult {
   /// Virtual time from program start to the last node finishing.
@@ -217,6 +258,8 @@ struct RunResult {
   /// traffic from an earlier tenant of a reallocated node; see
   /// docs/SCHEDULER.md). Always 0 for whole-machine runs.
   uint64_t stale_messages_dropped = 0;
+  /// Runtime traffic split by wire kind, summed over nodes.
+  WireTraffic wire;
   /// Findings of the phase-semantics sanitizer, merged over all nodes.
   /// Populated only when RuntimeOptions::validate_phases was set.
   check::Report check_report;

@@ -32,6 +32,78 @@ uint64_t chunk_of(uint64_t n, int nodes) {
   return (n + static_cast<uint64_t>(nodes) - 1) / static_cast<uint64_t>(nodes);
 }
 
+/// The requester's epoch field of a fetch request (the layout differs
+/// between the kinds); leaves `r` just past it.
+uint64_t peek_request_epoch(ByteReader& r, detail::RtMsg cls) {
+  if (cls == detail::RtMsg::kGetBlockList) {
+    return r.get<uint64_t>();  // list messages lead with the epoch
+  }
+  (void)r.get<uint32_t>();  // array
+  if (cls != detail::RtMsg::kGetIndexed) {
+    (void)r.get<uint64_t>();  // first
+    (void)r.get<uint64_t>();  // count
+  }
+  (void)r.get<uint64_t>();  // req id
+  return r.get<uint64_t>();
+}
+
+/// Commit-exchange encoding of a set of node ids (ascending): a varint
+/// header (count << 1 | bitmap flag), then either count varint gaps
+/// (id - previous id - 1) or a ceil(nodes / 8)-byte bitmap, whichever is
+/// smaller. The empty set — every node of an owner-computes phase — is
+/// the single byte 0.
+void put_node_set(ByteWriter& w, const std::vector<int>& ids, int nodes) {
+  ByteWriter gaps;
+  int prev = -1;
+  for (const int id : ids) {
+    gaps.put_varint(static_cast<uint64_t>(id - prev - 1));
+    prev = id;
+  }
+  const size_t bitmap_bytes = (static_cast<size_t>(nodes) + 7) / 8;
+  const bool bitmap = gaps.size() > bitmap_bytes;
+  w.put_varint((static_cast<uint64_t>(ids.size()) << 1) | (bitmap ? 1 : 0));
+  if (!bitmap) {
+    w.put_raw(gaps.bytes().data(), gaps.size());
+    return;
+  }
+  std::vector<uint8_t> bits(bitmap_bytes, 0);
+  for (const int id : ids) {
+    bits[static_cast<size_t>(id) / 8] |=
+        static_cast<uint8_t>(1u << (id % 8));
+  }
+  w.put_raw(bits.data(), bits.size());
+}
+
+std::vector<int> get_node_set(ByteReader& r, int nodes) {
+  const uint64_t head = r.get_varint();
+  const uint64_t count = head >> 1;
+  PPM_CHECK(count <= static_cast<uint64_t>(nodes),
+            "garbled node set (%llu ids for %d nodes)",
+            static_cast<unsigned long long>(count), nodes);
+  std::vector<int> ids;
+  ids.reserve(static_cast<size_t>(count));
+  if ((head & 1) != 0) {
+    const auto bits = r.view((static_cast<size_t>(nodes) + 7) / 8);
+    for (int id = 0; id < nodes; ++id) {
+      if ((static_cast<uint8_t>(bits[static_cast<size_t>(id) / 8]) >>
+           (id % 8)) & 1u) {
+        ids.push_back(id);
+      }
+    }
+  } else {
+    uint64_t next = 0;
+    for (uint64_t k = 0; k < count; ++k) {
+      next += r.get_varint();
+      PPM_CHECK(next < static_cast<uint64_t>(nodes),
+                "garbled node set (id %llu for %d nodes)",
+                static_cast<unsigned long long>(next), nodes);
+      ids.push_back(static_cast<int>(next++));
+    }
+  }
+  PPM_CHECK(ids.size() == count, "garbled node set (bitmap count)");
+  return ids;
+}
+
 struct ParsedEntry {
   uint64_t vp_rank;
   uint32_t seq;
@@ -168,6 +240,7 @@ RunResult Runtime::collect() const {
     r.migration_bytes += c.migration_bytes;
     r.remote_to_local_conversions += c.remote_to_local_conversions;
     r.stale_messages_dropped += c.stale_msgs_dropped;
+    r.wire += c.wire;
     if (const check::PhaseValidator* v = n->validator()) {
       r.check_report.merge(v->report());
     }
@@ -454,7 +527,8 @@ Vp* NodeRuntime::current_vp() const {
 }
 
 uint64_t NodeRuntime::request_epoch() const {
-  return phase_scope_ == PhaseScope::kGlobal ? epoch_ : detail::kAsyncEpoch;
+  return phase_scope_ == PhaseScope::kGlobal ? epoch_
+                                             : detail::async_epoch(epoch_);
 }
 
 void NodeRuntime::read_elem(uint32_t id, uint64_t index, std::byte* out) {
@@ -1477,6 +1551,7 @@ void NodeRuntime::flush_accum_buffers(int dest_node) {
     rt_send(dest_node, detail::rt_kind(detail::RtMsg::kAccumBlock),
             std::move(ps.accum_block).take());
     ps.accum_block = ByteWriter(pool_take());
+    ps.frag_epoch = epoch_;
   }
   if (ps.accum_list_items > 0) {
     std::memcpy(ps.accum_list.data() + sizeof(uint64_t),
@@ -1490,6 +1565,7 @@ void NodeRuntime::flush_accum_buffers(int dest_node) {
             std::move(ps.accum_list).take());
     ps.accum_list = ByteWriter(pool_take());
     ps.accum_list_items = 0;
+    ps.frag_epoch = epoch_;
     if (!ps.accum_combine.empty()) ps.accum_combine.clear();
   }
 }
@@ -1541,6 +1617,7 @@ void NodeRuntime::flush_bundle(int dest_node, bool last) {
   rt_send(dest_node, detail::rt_kind(detail::RtMsg::kBundle),
           std::move(buf).take());
   ++counters_.bundles_sent;
+  peer(dest_node).frag_epoch = epoch_;
   // Reseed from the recycled-allocation pool: steady-state flushes then
   // never touch the allocator.
   buf = ByteWriter(pool_take());
@@ -1584,32 +1661,22 @@ void NodeRuntime::maybe_eager_flush(int dest_node) {
   flush_bundle(dest_node, /*last=*/false);
 }
 
-void NodeRuntime::flush_all_bundles_final() {
-  for (int dest = 0; dest < node_count(); ++dest) {
-    if (dest == node_) continue;
-    // Every peer gets exactly one last-marker fragment per phase (possibly
-    // header-only). Accum fragments ship FIRST: the per-(src, dst, port)
-    // FIFO then guarantees the owner staged them before the marker that
-    // completes its commit quorum.
-    if (peers_.find(dest) != peers_.end()) {
-      flush_accum_buffers(dest);
-      flush_bundle(dest, /*last=*/true);
-      continue;
+std::vector<int> NodeRuntime::flush_all_bundles_final() {
+  std::vector<int> dests;
+  for (const auto& [dest, ps] : peers_) {
+    if (ps.bundle.size() > 0 || ps.accum_list_items > 0 ||
+        ps.accum_block.size() > 0 || ps.frag_epoch == epoch_) {
+      dests.push_back(dest);
     }
-    // Untouched peer: ship the header-only marker without materializing
-    // its PeerState — byte-identical on the wire to an empty
-    // flush_bundle, same trace event and bundles_sent count.
-    ByteWriter w(pool_take());
-    w.put(epoch_);
-    w.put<uint8_t>(1);
-    if (tracer_) [[unlikely]] {
-      trace_rec(trace::EventKind::kBundleFlush, static_cast<uint64_t>(dest),
-                w.size(), 0, trace::kFlagBit0);
-    }
-    rt_send(dest, detail::rt_kind(detail::RtMsg::kBundle),
-            std::move(w).take());
-    ++counters_.bundles_sent;
   }
+  std::sort(dests.begin(), dests.end());
+  for (const int dest : dests) {
+    // Accum fragments ship FIRST: the per-(src, dst, port) FIFO then
+    // guarantees the owner staged them before the last fragment it counts.
+    flush_accum_buffers(dest);
+    flush_bundle(dest, /*last=*/true);
+  }
+  return dests;
 }
 
 // ---------------------------------------------------------------------------
@@ -1636,8 +1703,8 @@ void NodeRuntime::run_phase(bool global, uint64_t k_local, uint64_t k_offset,
                             const std::function<void(Vp&)>& body) {
   PPM_CHECK(started_, "phase before NodeRuntime::start");
   PPM_CHECK(phase_scope_ == PhaseScope::kNone, "phases cannot nest");
-  // Lookahead queued by async reads between phases carries kAsyncEpoch;
-  // ship it before this phase queues epoch-stamped requests (one flush
+  // Lookahead queued by async reads between phases carries an async
+  // epoch; ship it before this phase queues epoch-stamped requests (one flush
   // never mixes epochs).
   flush_fetch_backlog();
   if (validator_) validator_->on_phase_start(global);
@@ -1817,38 +1884,62 @@ void NodeRuntime::commit_global() {
     backlog_nonempty_ = false;
   }
 
-  // 1. Ship the remaining write entries; every peer gets exactly one
-  //    last-marker fragment per phase (possibly empty).
-  flush_all_bundles_final();
+  // 1. Ship the remaining write entries: one last-flagged fragment to each
+  //    peer written this epoch, nothing to the others.
+  const std::vector<int> dests = flush_all_bundles_final();
 
-  // 2. Wait until every peer's last-marker for this epoch arrived.
-  if (node_count() > 1) {
-    arrivals_cv_->wait(
-        [&] { return staged_last_markers_[epoch_] == node_count() - 1; });
-  }
-
-  // 3. Locality engine: decide — on SPMD-replicated state only, so
-  //    identically on every node — whether this commit runs a migration
-  //    planning round. Raising the flag before the barrier matters: a
-  //    peer can finish its whole commit while this node is still
-  //    applying, and its post-phase async reads then route by the NEW
-  //    owner map, which this node's storage honors only once its own
-  //    round is done. The flag makes the service fiber defer those reads
-  //    until then. All local access counting is finished here (reads are
-  //    synchronous in the VP loop; writes were counted when logged), so
-  //    the counters are final and ready to ship.
+  // 2. The commit exchange: one barrier_allgather whose blob carries the
+  //    peers this node sent a last fragment to, then — when this commit
+  //    runs a migration planning round (decided on SPMD-replicated state,
+  //    so identically everywhere) — the locality engine's access counters,
+  //    then the registered reductions' partials. The partials are built
+  //    before any inbound fragment can be applied: this node's own log
+  //    only. Local access counting is finished here (reads are synchronous
+  //    in the VP loop; writes were counted when logged).
   const bool migrate_round = migration_round_due();
-  if (migrate_round) migration_in_progress_ = true;
+  const size_t reduce_tail = pending_reduce_blob_bytes();
+  ByteWriter w;
+  put_node_set(w, dests, node_count());
+  if (migrate_round) {
+    for (const uint32_t id : planned_array_ids()) {
+      w.put_vector(arrays_[id].access_count);
+    }
+  }
+  if (reduce_tail > 0) {
+    const Bytes partials = build_local_reduce_partials();
+    w.put_raw(partials.data(), partials.size());
+    if (tracer_) [[unlikely]] {
+      trace_rec(trace::EventKind::kCommitReduce,
+                pending_reduces_.size() - reduces_resolved_, reduce_tail);
+    }
+  }
+  std::vector<Bytes> blobs = barrier_allgather(std::move(w).take());
+
+  // 3. Every node's set is in: count the last fragments addressed here and
+  //    wait for them. Nothing else needs to arrive — after the exchange no
+  //    peer is still computing, so no current-epoch request can come in
+  //    (straggler prefetches only hit abandoned slots).
+  std::vector<ByteReader> readers;
+  readers.reserve(blobs.size());
+  int expected = 0;
+  bool any_fragments = false;
+  for (const Bytes& b : blobs) {
+    ByteReader& r = readers.emplace_back(b);
+    const std::vector<int> set = get_node_set(r, node_count());
+    any_fragments |= !set.empty();
+    expected += std::binary_search(set.begin(), set.end(), node_) ? 1 : 0;
+  }
+  arrivals_cv_->wait([&] {
+    const auto it = staged_last_fragments_.find(epoch_);
+    return (it == staged_last_fragments_.end() ? 0 : it->second) == expected;
+  });
+  staged_last_fragments_.erase(epoch_);
 
   // 4. Apply local log + staged fragments in deterministic order, then
   //    the epoch's owner-side accumulate fragments (source node
-  //    ascending). This runs BEFORE the barrier — safe because every
-  //    peer's last marker is already in and demand reads are synchronous
-  //    inside the phase, so no current-epoch request can still arrive
-  //    (straggler prefetches only hit abandoned slots); the apply
-  //    consumes no virtual time, so the reorder is observationally
-  //    invisible. It must happen here so reduce partials below fold
-  //    post-commit values and ride the same barrier.
+  //    ascending). The apply consumes no virtual time. Peers may already
+  //    be past their own commit: their reads of this node carry their new
+  //    epoch and stay deferred until the bump below.
   std::vector<std::span<const std::byte>> buffers;
   buffers.emplace_back(local_log_.bytes());
   auto staged = staged_bundles_.find(epoch_);
@@ -1865,60 +1956,34 @@ void NodeRuntime::commit_global() {
     for (Bytes& b : staged->second) pool_put(std::move(b));
     staged_bundles_.erase(staged);
   }
-  staged_last_markers_.erase(epoch_);
 
-  // 5. Global barrier: after it, no node still reads phase-start values
-  //    and all commits are applied everywhere. When a planning round or a
-  //    registered reduction is pending, the barrier tokens carry each
-  //    node's payload (Bruck-style dissemination) — migration access
-  //    counters first, reduce partial blobs appended at the tail — so
-  //    neither collective costs extra messages or latency rounds on top
-  //    of the commit exchange.
-  const size_t reduce_tail = pending_reduce_blob_bytes();
-  const size_t reduce_count = pending_reduces_.size() - reduces_resolved_;
-  std::vector<Bytes> barrier_blobs;
-  if (migrate_round || reduce_tail > 0) {
-    ByteWriter w;
-    if (migrate_round) {
-      for (const uint32_t id : planned_array_ids()) {
-        w.put_vector(arrays_[id].access_count);
-      }
-    }
-    if (reduce_tail > 0) {
-      const Bytes partials = build_reduce_partials();
-      w.put_raw(partials.data(), partials.size());
-      if (tracer_) [[unlikely]] {
-        trace_rec(trace::EventKind::kCommitReduce, reduce_count,
-                  reduce_tail);
-      }
-    }
-    if (node_count() > 1) {
-      barrier_blobs = barrier_allgather(std::move(w).take());
-    } else {
-      barrier_blobs.push_back(std::move(w).take());
-    }
-  } else {
-    barrier_global();
-  }
-
-  // 5b. Sanitizer: exchange SPMD-lockstep fingerprints while every node is
-  //     parked at this commit anyway (piggybacks on the token/allgather
-  //     path; no-op unless validate_phases).
+  // 4b. Sanitizer: exchange SPMD-lockstep fingerprints (no-op unless
+  //     validate_phases).
   validate_lockstep();
 
-  // 5c. Resolve registered reductions: fold the per-node partial blobs in
-  //     ascending node order — identical scalar on every node.
-  if (reduce_tail > 0) combine_reduce_partials(barrier_blobs, reduce_tail);
+  // 4c. Resolve registered reductions, folding the per-node partials in
+  //     ascending node order — identical scalar on every node. The
+  //     exchanged partials are exact when no node received a fragment;
+  //     otherwise every node (all saw the same sets) runs one more
+  //     exchange of post-apply partials.
+  if (reduce_tail > 0) {
+    if (any_fragments) {
+      combine_reduce_partials(barrier_allgather(build_reduce_partials()),
+                              reduce_tail);
+    } else {
+      combine_reduce_partials(blobs, reduce_tail);
+    }
+  }
 
-  // 5d. Migration planning round: every node computes the identical plan
+  // 4d. Migration planning round: every node computes the identical plan
   //     from allgathered access counters, rewrites the owner maps, and
   //     exchanges the moving block payloads. Must run after the apply
   //     above (this phase's writes were routed by the old map) and before
-  //     the epoch bump below (peers' new-epoch gets stay deferred until
+  //     the epoch bump below (peers' new-epoch reads stay deferred until
   //     the maps and storage agree again). run_migration_round reads
-  //     exactly the counter vectors off each blob, so the reduce tail
+  //     exactly the counter vectors off each reader, so the reduce tail
   //     bytes behind them are ignored.
-  if (migrate_round) run_migration_round(std::move(barrier_blobs));
+  if (migrate_round) run_migration_round(std::move(readers));
 
   // 5. New epoch: phase-start snapshot changes, so the read cache dies.
   ++epoch_;
@@ -1945,7 +2010,7 @@ void NodeRuntime::commit_global() {
   }
   pending_blocks_.clear();
 
-  // 6. Serve get requests from nodes that raced ahead into the next phase.
+  // 6. Serve requests from nodes that raced ahead past this commit.
   serve_deferred_gets();
 }
 
@@ -1989,7 +2054,7 @@ std::vector<uint32_t> NodeRuntime::planned_array_ids() const {
   return ids;
 }
 
-void NodeRuntime::run_migration_round(std::vector<Bytes> all) {
+void NodeRuntime::run_migration_round(std::vector<ByteReader> all) {
   const std::vector<uint32_t> ids = planned_array_ids();
   rebalance_requests_.clear();
 
@@ -2000,7 +2065,7 @@ void NodeRuntime::run_migration_round(std::vector<Bytes> all) {
   std::vector<std::vector<std::vector<uint64_t>>> counts(
       static_cast<size_t>(p));
   for (int n = 0; n < p; ++n) {
-    ByteReader r(all[static_cast<size_t>(n)]);
+    ByteReader& r = all[static_cast<size_t>(n)];
     auto& per_node = counts[static_cast<size_t>(n)];
     per_node.reserve(ids.size());
     for (size_t a = 0; a < ids.size(); ++a) {
@@ -2154,11 +2219,34 @@ void NodeRuntime::run_migration_round(std::vector<Bytes> all) {
     auto& ac = arrays_[id].access_count;
     std::fill(ac.begin(), ac.end(), 0);
   }
-  migration_in_progress_ = false;
 }
 
+struct NodeRuntime::UndoLog {
+  struct Span {
+    std::byte* dst;
+    size_t bytes;
+  };
+  std::vector<Span> spans;
+  Bytes old;  // the spans' prior contents, concatenated in apply order
+
+  void save(std::byte* dst, size_t bytes) {
+    spans.push_back(Span{dst, bytes});
+    old.insert(old.end(), dst, dst + bytes);
+  }
+  /// Undo in reverse apply order, so an element written twice ends at
+  /// its first prior value.
+  void restore() {
+    size_t end = old.size();
+    for (auto it = spans.rbegin(); it != spans.rend(); ++it) {
+      end -= it->bytes;
+      std::memcpy(it->dst, old.data() + end, it->bytes);
+    }
+  }
+};
+
 void NodeRuntime::apply_staged_entries(
-    std::vector<std::span<const std::byte>> buffers) {
+    std::vector<std::span<const std::byte>> buffers, UndoLog* undo) {
+  check::PhaseValidator* const validator = undo ? nullptr : validator_.get();
   std::vector<ParsedEntry> entries;
   // Reserve by the tightest possible entry size: commits are the hot path
   // of every phase, and vector regrowth here showed up in measured runs.
@@ -2183,9 +2271,9 @@ void NodeRuntime::apply_staged_entries(
           r.view(static_cast<size_t>(e.count) * arrays_[e.array].ops.size);
       e.value = value.data();
       op_mask |= static_cast<uint8_t>(1u << e.op);
-      if (validator_) [[unlikely]] {
+      if (validator) [[unlikely]] {
         for (uint32_t j = 0; j < e.count; ++j) {
-          validator_->on_commit_entry(e.array, e.index + j, e.op, e.vp_rank);
+          validator->on_commit_entry(e.array, e.index + j, e.op, e.vp_rank);
         }
       }
       entries.push_back(e);
@@ -2296,8 +2384,9 @@ void NodeRuntime::apply_staged_entries(
       PPM_CHECK(local < rec.chunk_len,
                 "write entry for element %llu out of local range",
                 static_cast<unsigned long long>(e.index));
-      rec.apply_op(rec.storage.data() + local * rec.ops.size, e.value,
-                   static_cast<detail::WriteOp>(e.op));
+      std::byte* dst = rec.storage.data() + local * rec.ops.size;
+      if (undo) undo->save(dst, rec.ops.size);
+      rec.apply_op(dst, e.value, static_cast<detail::WriteOp>(e.op));
       continue;
     }
     // Range entry: the writer segmented the run so it stays inside one
@@ -2310,6 +2399,7 @@ void NodeRuntime::apply_staged_entries(
               "range entry [%llu, +%u) out of local range",
               static_cast<unsigned long long>(e.index), e.count);
     std::byte* dst = rec.storage.data() + local * rec.ops.size;
+    if (undo) undo->save(dst, static_cast<size_t>(e.count) * rec.ops.size);
     if (static_cast<detail::WriteOp>(e.op) == detail::WriteOp::kSet) {
       std::memcpy(dst, e.value, static_cast<size_t>(e.count) * rec.ops.size);
     } else {
@@ -2457,6 +2547,16 @@ Bytes NodeRuntime::build_reduce_partials() {
   return std::move(w).take();
 }
 
+Bytes NodeRuntime::build_local_reduce_partials() {
+  // The service fiber cannot run between the apply and the rollback (none
+  // of it yields), so no request is ever served from the scratch state.
+  UndoLog undo;
+  apply_staged_entries({local_log_.bytes()}, &undo);
+  Bytes partials = build_reduce_partials();
+  undo.restore();
+  return partials;
+}
+
 void NodeRuntime::combine_reduce_partials(const std::vector<Bytes>& all,
                                           size_t tail_bytes) {
   // Every node appended the same partial layout (registration is
@@ -2548,6 +2648,25 @@ void NodeRuntime::rt_send(int dst_node, uint64_t kind, Bytes payload) {
   // The single logical→physical translation point of the runtime: all
   // node ids above this line are partition-logical; the wire carries
   // physical addresses plus the tenancy's run tag (see wire.hpp).
+  WireCount* count = nullptr;
+  auto& wire = counters_.wire;
+  switch (detail::rt_class(kind)) {
+    case detail::RtMsg::kBundle: count = &wire.bundle; break;
+    case detail::RtMsg::kAccumBlock:
+    case detail::RtMsg::kAccumList: count = &wire.accum; break;
+    case detail::RtMsg::kToken: count = &wire.token; break;
+    case detail::RtMsg::kGetBlock:
+    case detail::RtMsg::kGetIndexed: count = &wire.get; break;
+    case detail::RtMsg::kGetBlockList: count = &wire.get_list; break;
+    case detail::RtMsg::kPrefetchBlock: count = &wire.prefetch; break;
+    case detail::RtMsg::kGetResp: count = &wire.get_resp; break;
+    case detail::RtMsg::kMigrateBlock: count = &wire.migrate; break;
+    case detail::RtMsg::kShutdown: break;
+  }
+  if (count != nullptr) {
+    ++count->messages;
+    count->bytes += payload.size();
+  }
   net::Message m;
   m.src_node = shared_.machine_node(node_);
   m.src_port = shared_.machine().service_port();
@@ -2657,64 +2776,37 @@ void NodeRuntime::service_loop() {
 }
 
 void NodeRuntime::handle_get(net::Message msg) {
-  // Peek the requester's epoch (layout differs between the kinds).
   ByteReader r(msg.payload);
-  uint64_t req_epoch;
-  const detail::RtMsg cls = detail::rt_class(msg.kind);
-  if (cls == detail::RtMsg::kGetBlockList) {
-    req_epoch = r.get<uint64_t>();  // list messages lead with the epoch
-  } else if (cls != detail::RtMsg::kGetIndexed) {
-    (void)r.get<uint32_t>();  // array
-    (void)r.get<uint64_t>();  // first
-    (void)r.get<uint64_t>();  // count
-    (void)r.get<uint64_t>();  // req id
-    req_epoch = r.get<uint64_t>();
-  } else {
-    (void)r.get<uint32_t>();  // array
-    (void)r.get<uint64_t>();  // req id
-    req_epoch = r.get<uint64_t>();
+  const uint64_t req_epoch = peek_request_epoch(r, detail::rt_class(msg.kind));
+  if (!detail::is_async_epoch(req_epoch) && req_epoch < epoch_) {
+    // A lookahead fetch can legitimately straggle past the requester's
+    // commit (the requester abandoned its slot there): drop it. For
+    // demand reads a stale epoch is a protocol bug. A stale LIST is legal
+    // only when all its items are lookahead (demand requesters park until
+    // served, so their node cannot have committed past).
+    const detail::RtMsg cls = detail::rt_class(msg.kind);
+    if (cls == detail::RtMsg::kPrefetchBlock) return;
+    if (cls == detail::RtMsg::kGetBlockList) {
+      const uint32_t n = r.get<uint32_t>();
+      for (uint32_t k = 0; k < n; ++k) {
+        (void)r.get<uint32_t>();  // array
+        (void)r.get<uint64_t>();  // first
+        (void)r.get<uint64_t>();  // count
+        (void)r.get<uint64_t>();  // req id
+        PPM_CHECK(r.get<uint8_t>() != 0,
+                  "stale fetch list contains a demand item");
+      }
+      return;
+    }
+    PPM_CHECK(false, "get request for already-committed epoch %llu (at %llu)",
+              static_cast<unsigned long long>(req_epoch),
+              static_cast<unsigned long long>(epoch_));
   }
-  if (req_epoch == detail::kAsyncEpoch) {
-    if (migration_in_progress_) {
-      // This commit's migration round may be about to overwrite the slot
-      // the request resolves to (the requester routed it with the
-      // already-updated owner map). Serve once the round has applied.
-      deferred_gets_.push_back(std::move(msg));
-      return;
-    }
-  } else {
-    if (req_epoch < epoch_) {
-      // A lookahead fetch can legitimately straggle past the requester's
-      // commit (the requester abandoned its slot there): drop it. For
-      // demand reads a stale epoch is a protocol bug. A stale LIST is
-      // legal only when all its items are lookahead (demand requesters
-      // park until served, so their node cannot have committed past).
-      if (cls == detail::RtMsg::kPrefetchBlock) {
-        return;
-      }
-      if (cls == detail::RtMsg::kGetBlockList) {
-        const uint32_t n = r.get<uint32_t>();
-        for (uint32_t k = 0; k < n; ++k) {
-          (void)r.get<uint32_t>();  // array
-          (void)r.get<uint64_t>();  // first
-          (void)r.get<uint64_t>();  // count
-          (void)r.get<uint64_t>();  // req id
-          PPM_CHECK(r.get<uint8_t>() != 0,
-                    "stale fetch list contains a demand item");
-        }
-        return;
-      }
-      PPM_CHECK(false,
-                "get request for already-committed epoch %llu (at %llu)",
-                static_cast<unsigned long long>(req_epoch),
-                static_cast<unsigned long long>(epoch_));
-    }
-    if (req_epoch > epoch_) {
-      // Requester already passed the barrier we have not committed past:
-      // serve after our commit so it sees the new phase-start snapshot.
-      deferred_gets_.push_back(std::move(msg));
-      return;
-    }
+  if (detail::fence_epoch(req_epoch) > epoch_) {
+    // The requester already passed a commit this node has not finished:
+    // serve after ours, so it sees the values that commit produced.
+    deferred_gets_.push_back(std::move(msg));
+    return;
   }
   serve_get(msg);
 }
@@ -2786,25 +2878,9 @@ void NodeRuntime::serve_deferred_gets() {
   std::vector<net::Message> still_deferred;
   for (auto& msg : deferred_gets_) {
     ByteReader r(msg.payload);
-    uint64_t req_epoch;
-    const detail::RtMsg cls = detail::rt_class(msg.kind);
-    if (cls == detail::RtMsg::kGetBlockList) {
-      req_epoch = r.get<uint64_t>();
-    } else if (cls != detail::RtMsg::kGetIndexed) {
-      (void)r.get<uint32_t>();
-      (void)r.get<uint64_t>();
-      (void)r.get<uint64_t>();
-      (void)r.get<uint64_t>();
-      req_epoch = r.get<uint64_t>();
-    } else {
-      (void)r.get<uint32_t>();
-      (void)r.get<uint64_t>();
-      req_epoch = r.get<uint64_t>();
-    }
-    const bool servable = req_epoch == detail::kAsyncEpoch
-                              ? !migration_in_progress_
-                              : req_epoch <= epoch_;
-    if (servable) {
+    const uint64_t req_epoch =
+        peek_request_epoch(r, detail::rt_class(msg.kind));
+    if (detail::fence_epoch(req_epoch) <= epoch_) {
       serve_get(msg);
     } else {
       still_deferred.push_back(std::move(msg));
@@ -2820,7 +2896,7 @@ void NodeRuntime::handle_bundle(net::Message msg) {
   const auto entries = r.view(r.remaining());
   staged_bundles_[epoch].emplace_back(entries.begin(), entries.end());
   if (last != 0) {
-    ++staged_last_markers_[epoch];
+    ++staged_last_fragments_[epoch];
     arrivals_cv_->notify_all();
   }
   // The delivered buffer's capacity feeds the sender-side free pool.
@@ -2929,86 +3005,55 @@ void NodeRuntime::barrier_global() {
 }
 
 std::vector<Bytes> NodeRuntime::barrier_allgather(Bytes mine) {
+  return dissemination_allgather(kChBarrier, barrier_seq_++, std::move(mine));
+}
+
+std::vector<Bytes> NodeRuntime::allgather_bytes(Bytes mine) {
+  return dissemination_allgather(kChColl, coll_seq_++, std::move(mine));
+}
+
+std::vector<Bytes> NodeRuntime::dissemination_allgather(uint32_t channel,
+                                                        uint64_t seq,
+                                                        Bytes mine) {
   const int p = node_count();
   std::vector<Bytes> blocks(static_cast<size_t>(p));
   blocks[static_cast<size_t>(node_)] = std::move(mine);
-  if (p == 1) return blocks;
-  const uint64_t seq = barrier_seq_++;
   // Bruck-style dissemination: the identical send/recv pattern (offsets
   // 1, 2, 4, ... — and with it the round count and the synchronization
   // property) as barrier_global, but each round's token carries the
   // contributions its receiver is still missing. After round r every node
   // holds the blocks of ranks node_, node_-1, ..., node_-(2^(r+1)-1).
+  // Counts and lengths are varints: a round of empty blocks costs a few
+  // bytes over a bare barrier token.
   int have = 1;
   uint32_t round = 0;
   for (int offset = 1; offset < p; offset *= 2, ++round) {
     const int send_count = std::min(have, p - have);
     ByteWriter w;
-    w.put(static_cast<uint32_t>(send_count));
+    w.put_varint(static_cast<uint64_t>(send_count));
     for (int b = 0; b < send_count; ++b) {
       const Bytes& blk = blocks[static_cast<size_t>((node_ - b + p) % p)];
-      w.put_span(std::span<const char>(
-          reinterpret_cast<const char*>(blk.data()), blk.size()));
+      w.put_varint(blk.size());
+      w.put_raw(blk.data(), blk.size());
     }
-    token_send((node_ + offset) % p, kChBarrier, seq, round,
+    token_send((node_ + offset) % p, channel, seq, round,
                std::move(w).take());
     const int peer = (node_ - offset % p + p) % p;
-    const Bytes in = token_recv(peer, kChBarrier, seq, round);
+    const Bytes in = token_recv(peer, channel, seq, round);
     ByteReader r(in);
-    const auto count = r.get<uint32_t>();
-    PPM_CHECK(static_cast<int>(count) == send_count,
-              "counter exchange out of lockstep (round %u: got %u blocks, "
+    const uint64_t count = r.get_varint();
+    PPM_CHECK(count == static_cast<uint64_t>(send_count),
+              "allgather out of lockstep (round %u: got %llu blocks, "
               "expected %d)",
-              round, count, send_count);
-    for (uint32_t b = 0; b < count; ++b) {
-      const auto v = r.get_vector<char>();
-      Bytes& blk =
-          blocks[static_cast<size_t>((peer - static_cast<int>(b) + p) % p)];
-      blk.resize(v.size());
-      if (!v.empty()) std::memcpy(blk.data(), v.data(), v.size());
+              round, static_cast<unsigned long long>(count), send_count);
+    for (int b = 0; b < send_count; ++b) {
+      const auto v = r.view(r.get_varint());
+      blocks[static_cast<size_t>((peer - b + p) % p)].assign(v.begin(),
+                                                             v.end());
     }
     have += send_count;
   }
   return blocks;
-}
-
-std::vector<Bytes> NodeRuntime::allgather_bytes(Bytes mine) {
-  const int p = node_count();
-  std::vector<Bytes> result(static_cast<size_t>(p));
-  if (p == 1) {
-    result[0] = std::move(mine);
-    return result;
-  }
-  const uint64_t seq = coll_seq_++;
-  if (node_ != 0) {
-    token_send(0, kChColl, seq, 0, std::move(mine));
-    const Bytes packed = token_recv(0, kChColl, seq, 1);
-    ByteReader r(packed);
-    for (int n = 0; n < p; ++n) {
-      result[static_cast<size_t>(n)] = [&] {
-        auto v = r.get_vector<char>();
-        Bytes b(v.size());
-        if (!v.empty()) std::memcpy(b.data(), v.data(), v.size());
-        return b;
-      }();
-    }
-    return result;
-  }
-  result[0] = std::move(mine);
-  for (int n = 1; n < p; ++n) {
-    result[static_cast<size_t>(n)] = token_recv(n, kChColl, seq, 0);
-  }
-  ByteWriter packed;
-  for (int n = 0; n < p; ++n) {
-    packed.put_span(std::span<const char>(
-        reinterpret_cast<const char*>(result[static_cast<size_t>(n)].data()),
-        result[static_cast<size_t>(n)].size()));
-  }
-  const Bytes packed_bytes = std::move(packed).take();
-  for (int n = 1; n < p; ++n) {
-    token_send(n, kChColl, seq, 1, packed_bytes);
-  }
-  return result;
 }
 
 }  // namespace ppm

@@ -457,11 +457,12 @@ class NodeRuntime {
   // ---- Remote reduction (rides the commit barrier) ----
 
   /// One registered reduction, resolved at the next global-phase commit:
-  /// after the commit applies its write batch, each node folds its OWNED
-  /// elements in ascending global-index order into a partial blob
-  /// ([u8 has_value][elem bytes]); the blobs ride the commit barrier's
-  /// dissemination tokens (zero extra messages), and every node folds the
-  /// per-node partials in ascending node order — so all nodes compute the
+  /// each node folds its OWNED post-commit elements in ascending
+  /// global-index order into a partial blob ([u8 has_value][elem bytes]);
+  /// the blobs ride the commit exchange's dissemination tokens (zero extra
+  /// messages when no node received write fragments, one more exchange
+  /// otherwise — see commit_global), and every node folds the per-node
+  /// partials in ascending node order — so all nodes compute the
   /// identical scalar, bit-equal to a local fold over the whole array in
   /// ascending index order followed by an ascending-node combine (the
   /// order dot()/reduce_array produce for block layouts).
@@ -502,7 +503,8 @@ class NodeRuntime {
   // ---- Node-level collectives (used by Env and the commit protocol) ----
 
   void barrier_global();
-  /// Allgather of byte blobs over nodes; result indexed by node.
+  /// Allgather of byte blobs over nodes; result indexed by node. Bruck
+  /// dissemination: ceil(log2 N) rounds, one token per node per round.
   std::vector<Bytes> allgather_bytes(Bytes mine);
 
   // ---- Counters (exposed for tests/benches) ----
@@ -528,6 +530,7 @@ class NodeRuntime {
     // i.e. missed both the handle-inline local and cached-block fast
     // paths. A fully cached phase keeps this at zero.
     uint64_t slow_path_reads = 0;
+    WireTraffic wire;  // sent traffic per wire kind (see RunResult)
   };
   const Counters& counters() const { return counters_; }
 
@@ -710,15 +713,19 @@ class NodeRuntime {
   bool try_combine(int dest_node, const detail::WireEntryHeader& hdr,
                    const std::byte* value, const detail::ArrayRecord& rec);
   void maybe_eager_flush(int dest_node);
-  void flush_all_bundles_final();
+  /// Ship a last-flagged fragment (after any pending accum fragments) to
+  /// every peer written this epoch — buffered entries, or an eager
+  /// fragment already sent — and return those peers ascending. Untouched
+  /// peers get nothing: the commit exchange tells them what to expect.
+  std::vector<int> flush_all_bundles_final();
 
   // Owner-side accumulate (sender side). Scalar items collect in a
   // per-peer kAccumList buffer (u64 epoch + u32 item count header, count
   // patched at flush), contiguous runs in a kAccumBlock buffer (u64 epoch
   // header, self-delimiting records). Both flush at the eager-flush
-  // threshold and, unconditionally, right before the peer's final kBundle
-  // last-marker — pairwise FIFO then guarantees the owner staged every
-  // fragment before the marker that completes its commit quorum.
+  // threshold and, unconditionally, right before the peer's last kBundle
+  // fragment — pairwise FIFO then guarantees the owner staged every
+  // accum fragment before the last fragment it counts toward commit.
   static constexpr size_t kAccumListHeaderBytes =
       sizeof(uint64_t) + sizeof(uint32_t);
   static constexpr size_t kAccumBlockHeaderBytes = sizeof(uint64_t);
@@ -745,22 +752,32 @@ class NodeRuntime {
   /// Arrays the next planning round covers, in ascending id order
   /// (identical on every node).
   std::vector<uint32_t> planned_array_ids() const;
-  /// Global barrier that doubles as an allgather: each dissemination
-  /// round's token carries the byte blobs its receiver is missing, so
-  /// the planner's counter exchange rides the commit barrier at zero
-  /// extra latency rounds. Result indexed by node.
+  /// The commit exchange: a global barrier that doubles as an allgather
+  /// (allgather_bytes' dissemination pattern on the barrier channel). Each
+  /// round's token carries the byte blobs its receiver is missing, so the
+  /// fragment-count, planner-counter and reduce-partial exchanges ride the
+  /// commit barrier at zero extra latency rounds. Result indexed by node.
   std::vector<Bytes> barrier_allgather(Bytes mine);
-  /// From the allgathered access counters, compute the identical greedy
-  /// plan on every node, rewrite the owner maps, move block payloads via
-  /// kMigrateBlock, and reset the profiler.
-  void run_migration_round(std::vector<Bytes> all_counts);
+  std::vector<Bytes> dissemination_allgather(uint32_t channel, uint64_t seq,
+                                             Bytes mine);
+  /// From the allgathered access counters (each reader positioned at its
+  /// node's counter vectors), compute the identical greedy plan on every
+  /// node, rewrite the owner maps, move block payloads via kMigrateBlock,
+  /// and reset the profiler.
+  void run_migration_round(std::vector<ByteReader> all_counts);
 
   // Phase engine.
   void run_vp_loop(const std::function<void(Vp&)>& body);
   void run_chunks(int core_index);
   void commit_global();
   void commit_node();
-  void apply_staged_entries(std::vector<std::span<const std::byte>> buffers);
+  /// Prior bytes of every element an apply pass overwrote, so a scratch
+  /// pass can be rolled back (defined in runtime.cpp).
+  struct UndoLog;
+  /// Apply write entries in (vp_rank, seq) order. With `undo`, record
+  /// what each write overwrote and skip the sanitizer hooks.
+  void apply_staged_entries(std::vector<std::span<const std::byte>> buffers,
+                            UndoLog* undo = nullptr);
   /// Apply the current epoch's staged kAccumList/kAccumBlock fragments,
   /// grouped by source node ascending (per-source arrival order = that
   /// source's program order), after the ordered entry batch.
@@ -772,6 +789,10 @@ class NodeRuntime {
   // every node parses them back off the tail of each peer blob.
   size_t pending_reduce_blob_bytes() const;
   Bytes build_reduce_partials();
+  /// Partials of the commit's exchange, built before any inbound fragment
+  /// is in: this node's own log applied to storage, folded, rolled back.
+  /// Exact whenever no node receives fragments this commit.
+  Bytes build_local_reduce_partials();
   void combine_reduce_partials(const std::vector<Bytes>& all,
                                size_t tail_bytes);
 
@@ -847,16 +868,15 @@ class NodeRuntime {
 
   // Locality engine state. mig_inbox_ stages inbound kMigrateBlock
   // payloads (appended by the service fiber, applied by the commit path
-  // once its own outbound copies are serialized); migration_in_progress_
-  // makes the service fiber defer async-epoch gets while owner maps are
-  // mid-rewrite anywhere in the cluster.
+  // once its own outbound copies are serialized). Reads routed by a
+  // rewritten owner map carry the reader's post-commit epoch, so the epoch
+  // fence keeps them waiting until this node's round has applied.
   struct MigArrival {
     uint32_t array = 0;
     uint64_t block = 0;
     Bytes data;
   };
   bool any_adaptive_ = false;
-  bool migration_in_progress_ = false;
   std::vector<uint32_t> rebalance_requests_;  // sorted array ids
   std::vector<MigArrival> mig_inbox_;
 
@@ -901,11 +921,13 @@ class NodeRuntime {
   // an entry, so an idle or purely-local node costs O(1) bytes regardless
   // of cluster size — the keystone of thousand-node runs (the eager
   // layout was four O(nodes) containers per node, O(nodes^2) machine-
-  // wide). The end-of-phase last-marker protocol still reaches every
-  // peer: flush_all_bundles_final ships untouched peers a header-only
-  // marker without creating their PeerState.
+  // wide).
   struct PeerState {
     ByteWriter bundle;  // pending write entries (fragment header inline)
+    // Epoch in which a bundle or accum fragment last left for this peer.
+    // A peer that got an eager fragment this epoch still needs its last
+    // fragment, even when nothing is buffered for it any more.
+    uint64_t frag_epoch = ~uint64_t{0};
     std::unordered_map<ElemKey, CombineSlot, ElemKeyHash> combine;
     size_t combine_hwm = 0;
     std::vector<QueuedFetch> fetch_backlog;
@@ -929,9 +951,11 @@ class NodeRuntime {
   };
   std::vector<StrideState> stride_state_;
 
-  // Bundle staging (service side), keyed by epoch.
+  // Bundle staging (service side), keyed by epoch, with the count of
+  // last-flagged fragments in (compared against the commit exchange's
+  // expectation).
   std::map<uint64_t, std::vector<Bytes>> staged_bundles_;
-  std::map<uint64_t, int> staged_last_markers_;
+  std::map<uint64_t, int> staged_last_fragments_;
 
   // Accumulate-fragment staging (service side), keyed by epoch. Fragments
   // keep their source node so the commit can apply them grouped by source
@@ -949,7 +973,8 @@ class NodeRuntime {
   std::vector<PendingReduce> pending_reduces_;
   size_t reduces_resolved_ = 0;
 
-  // Deferred get requests from nodes ahead of our commit.
+  // Deferred get requests from nodes ahead of our commit (in-phase reads
+  // of a later epoch, and between-phase reads fenced at one).
   std::vector<net::Message> deferred_gets_;
 
   // Token mailbox.

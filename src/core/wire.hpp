@@ -48,9 +48,9 @@ enum class RtMsg : uint8_t {
   // — the owner applies them after the ordered entry batch of the same
   // commit, grouped by source node ascending — which is what makes each
   // record 12 bytes smaller than the kBundle range entry it replaces.
-  // Flushed before the sender's final kBundle last-marker, so the
-  // per-(src, dst, port) FIFO floor guarantees arrival before the commit
-  // that consumes it; no reply.
+  // Flushed before the sender's last kBundle fragment of the epoch, so
+  // the per-(src, dst, port) FIFO floor guarantees arrival before the
+  // commit that consumes it; no reply.
   kAccumBlock = 10,
   // Owner-side accumulate fragment, scalar form: individual accumulate(i)
   // items. Payload: u64 epoch, u32 item count, then per item u32 array,
@@ -86,9 +86,24 @@ inline uint32_t rt_run_tag(uint64_t kind) {
 
 /// Requests carry the requester's epoch so an owner that has not yet
 /// committed the phase the requester already finished can defer serving
-/// (phase-start snapshot semantics). kAsyncEpoch marks reads that want the
-/// owner's latest committed values (reads outside global phases).
-inline constexpr uint64_t kAsyncEpoch = ~uint64_t{0};
+/// (phase-start snapshot semantics). Reads outside global phases want the
+/// owner's latest committed values and carry async_epoch(reader epoch):
+/// the bitwise complement, so the top bit marks them (real epochs never
+/// reach 2^63). The owner still defers them until it has applied every
+/// epoch below the reader's — a reader that left its commit early must not
+/// see the pre-commit values of an owner still waiting for a fragment.
+inline constexpr uint64_t async_epoch(uint64_t reader_epoch) {
+  return ~reader_epoch;
+}
+inline constexpr bool is_async_epoch(uint64_t req_epoch) {
+  return (req_epoch >> 63) != 0;
+}
+/// The owner epoch a request must wait for before it is served.
+inline constexpr uint64_t fence_epoch(uint64_t req_epoch) {
+  return is_async_epoch(req_epoch) ? ~req_epoch : req_epoch;
+}
+/// An async read fenced at epoch 0, i.e. servable at once.
+inline constexpr uint64_t kAsyncEpoch = async_epoch(0);
 
 /// Write operations a VP can perform on a shared element. Values must
 /// stay in [0, 8): commit builds per-element masks as `1u << op` in a

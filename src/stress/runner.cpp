@@ -248,6 +248,7 @@ Snapshot run_under_config(const ProgramSpec& spec, const StressConfig& cfg,
       artifacts->trace_json = trace::to_chrome_json(*runtime.trace());
     }
   };
+  std::vector<std::vector<uint64_t>> late_reads(spec.arrays.size());
   auto node_program = [&](Env& env) {
     const int nodes = env.node_count();
     std::vector<GlobalShared<uint64_t>> g(spec.arrays.size());
@@ -292,6 +293,19 @@ Snapshot run_under_config(const ProgramSpec& spec, const StressConfig& cfg,
         vps.node_phase(body);
       }
     }
+    // Between-phase reads right after the last commit, from the last node
+    // (remote for most elements): peers may still be waiting for a
+    // delayed fragment, so these exercise the epoch fence. The snapshot
+    // below is the committed state they must match.
+    if (env.node_id() == nodes - 1) {
+      for (size_t a = 0; a < spec.arrays.size(); ++a) {
+        if (!spec.arrays[a].global) continue;
+        late_reads[a].resize(spec.arrays[a].n);
+        for (uint64_t i = 0; i < spec.arrays[a].n; ++i) {
+          late_reads[a][i] = g[a].get(i);
+        }
+      }
+    }
     Snapshot local = collect_snapshot(spec, env, ids);
     if (env.node_id() == 0) snap = std::move(local);
   };
@@ -310,6 +324,16 @@ Snapshot run_under_config(const ProgramSpec& spec, const StressConfig& cfg,
   RunResult result = runtime.collect();
   export_trace();
   if (artifacts != nullptr) artifacts->result = std::move(result);
+  for (size_t a = 0; a < spec.arrays.size(); ++a) {
+    for (uint64_t i = 0; i < late_reads[a].size(); ++i) {
+      PPM_CHECK(late_reads[a][i] == snap.global_arrays[a][i],
+                "between-phase read of a%zu[%llu] returned %llu, committed "
+                "%llu",
+                a, static_cast<unsigned long long>(i),
+                static_cast<unsigned long long>(late_reads[a][i]),
+                static_cast<unsigned long long>(snap.global_arrays[a][i]));
+    }
+  }
   return snap;
 }
 

@@ -36,7 +36,7 @@ enum class EventKind : uint8_t {
 
   // Write engine.
   kBundleFlush,  // a = destination node, b = payload bytes,
-                 // flags bit0 = phase-final (last-marker) fragment
+                 // flags bit0 = last fragment of the epoch
 
   // Owner-side accumulate / remote reduction.
   kAccumFlush,   // sender ships accum fragments: a = destination node,

@@ -57,6 +57,16 @@ class ByteWriter {
     put_span(std::span<const char>(s.data(), s.size()));
   }
 
+  /// Unsigned LEB128: 7 value bits per byte, high bit = "more follows".
+  /// Small counts and lengths cost one byte instead of eight.
+  void put_varint(uint64_t v) {
+    while (v >= 0x80) {
+      put<uint8_t>(static_cast<uint8_t>(v) | 0x80);
+      v >>= 7;
+    }
+    put<uint8_t>(static_cast<uint8_t>(v));
+  }
+
   /// Raw bytes without a length prefix (caller knows the size).
   void put_raw(const void* data, size_t n) {
     const size_t off = buf_.size();
@@ -122,20 +132,32 @@ class ByteReader {
     return out;
   }
 
+  uint64_t get_varint() {
+    uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+      PPM_CHECK(shift < 64, "garbled message: varint longer than 64 bits");
+      const auto b = get<uint8_t>();
+      v |= static_cast<uint64_t>(b & 0x7f) << shift;
+      if ((b & 0x80) == 0) return v;
+    }
+  }
+
   std::string get_string() {
     const auto v = get_vector<char>();
     return std::string(v.begin(), v.end());
   }
 
   void get_raw(void* out, size_t n) {
-    PPM_CHECK(pos_ + n <= data_.size(), "truncated message payload");
+    PPM_CHECK(n <= data_.size() - pos_, "truncated message payload");
     if (n != 0) std::memcpy(out, data_.data() + pos_, n);
     pos_ += n;
   }
 
   /// View of the next n bytes without copying; advances the cursor.
   std::span<const std::byte> view(size_t n) {
-    PPM_CHECK(pos_ + n <= data_.size(), "truncated message payload");
+    // n may come off the wire: compare against what is left, so a huge
+    // length cannot wrap the sum.
+    PPM_CHECK(n <= data_.size() - pos_, "truncated message payload");
     auto s = data_.subspan(pos_, n);
     pos_ += n;
     return s;

@@ -320,8 +320,8 @@ TEST(FailureInjection, AccumRangeOutOfBoundsRejected) {
 }
 
 TEST(FailureInjection, StaleAccumFragmentRejected) {
-  // Accumulate fragments are flushed before the sender's last-marker
-  // bundle, so one arriving for an epoch the receiver already committed
+  // Accumulate fragments are flushed before the sender's last bundle
+  // fragment, so one arriving for an epoch the receiver already committed
   // can only be protocol misuse — rejected loudly, unlike stale
   // prefetches (which a requester legitimately abandons).
   cluster::Machine machine({.nodes = 2, .cores_per_node = 1});

@@ -93,6 +93,33 @@ TEST(ByteBuffer, RemainingTracksCursor) {
   EXPECT_EQ(r.remaining(), 4u);
 }
 
+TEST(ByteBuffer, VarintRoundTripsAndStaysShort) {
+  const uint64_t values[] = {0, 1, 127, 128, 16383, 16384, ~uint64_t{0}};
+  ByteWriter w;
+  for (const uint64_t v : values) w.put_varint(v);
+  // 1 + 1 + 1 + 2 + 2 + 3 + 10 bytes.
+  EXPECT_EQ(w.size(), 20u);
+  ByteReader r(w.bytes());
+  for (const uint64_t v : values) EXPECT_EQ(r.get_varint(), v);
+  EXPECT_TRUE(r.exhausted());
+}
+
+TEST(ByteBuffer, GarbledVarintAndHugeLengthRejected) {
+  // Eleven continuation bytes: longer than any 64-bit value.
+  const Bytes endless(11, std::byte{0xff});
+  ByteReader r1(endless);
+  EXPECT_THROW(r1.get_varint(), Error);
+  // A wire length near 2^64 must not wrap the bounds check.
+  ByteWriter w;
+  w.put<uint8_t>(7);
+  w.put<uint8_t>(8);
+  ByteReader r2(w.bytes());
+  r2.get<uint8_t>();
+  EXPECT_THROW(r2.view(~size_t{0}), Error);
+  uint8_t sink[1];
+  EXPECT_THROW(r2.get_raw(sink, ~size_t{0}), Error);
+}
+
 TEST(ByteBuffer, TakeMovesBuffer) {
   ByteWriter w;
   w.put<int>(42);

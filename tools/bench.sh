@@ -45,6 +45,39 @@ cmake --build --preset default -j "$(nproc 2>/dev/null || echo 4)" \
   $(printf -- '--target %s ' "${benches[@]}") --target ppm_stress \
   --target ppm_jobs
 
+# Host stamp: measured vtime and every wall-clock column depend on the
+# host, so each output file records what it ran on (CPU count available
+# to this process, CPU model, compiler, build type of the bench build).
+host_json=$(python3 - build/CMakeCache.txt <<'PY'
+import json, os, re, subprocess, sys
+cache = {}
+with open(sys.argv[1]) as f:
+    for line in f:
+        m = re.match(r"([A-Za-z_]+):[A-Z]+=(.*)", line.strip())
+        if m:
+            cache[m[1]] = m[2]
+cpu = "unknown"
+try:
+    with open("/proc/cpuinfo") as f:
+        for line in f:
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+except OSError:
+    pass
+cxx = cache.get("CMAKE_CXX_COMPILER", "c++")
+try:
+    compiler = subprocess.run([cxx, "--version"], capture_output=True,
+                              text=True).stdout.splitlines()[0]
+except (OSError, IndexError):
+    compiler = cxx
+print(json.dumps({"nproc": len(os.sched_getaffinity(0)), "cpu": cpu,
+                  "compiler": compiler,
+                  "build_type": cache.get("CMAKE_BUILD_TYPE", "")}))
+PY
+)
+export PPM_BENCH_HOST="${host_json}"
+
 tmpdir=$(mktemp -d)
 trap 'rm -rf "${tmpdir}"' EXIT
 for b in "${benches[@]}"; do
@@ -79,7 +112,7 @@ build/tools/ppm_cli --app=barneshut --size=2000 --steps=2 --cores=4 \
   --json="${tmpdir}/model_fig3_barneshut.json"
 
 python3 - "${out}" "${tmpdir}" "${benches[@]}" ppm_stress <<'PY'
-import json, sys
+import json, os, sys
 out, tmpdir, benches = sys.argv[1], sys.argv[2], sys.argv[3:]
 rows = []
 for b in benches:
@@ -158,7 +191,8 @@ for fig in ("fig1_cg", "fig2_matgen", "fig3_barneshut"):
                      "measured_vtime_ms": v["measured_vtime_ns"] * 1e-6,
                      "rel_err": v["rel_err"]})
 with open(out, "w") as f:
-    json.dump({"rows": rows}, f, indent=1, sort_keys=True)
+    json.dump({"host": json.loads(os.environ["PPM_BENCH_HOST"]),
+               "rows": rows}, f, indent=1, sort_keys=True)
     f.write("\n")
 print(f"wrote {out}: {len(rows)} rows")
 PY
@@ -183,7 +217,7 @@ for policy in fifo backfill; do
 done
 
 python3 - "${jobs_out}" "${tmpdir}" <<'PY'
-import json, sys
+import json, os, sys
 out, tmpdir = sys.argv[1], sys.argv[2]
 rows = []
 for policy in ("fifo", "backfill"):
@@ -212,7 +246,8 @@ for policy in ("fifo", "backfill"):
         row["per_job"] = per_job
         rows.append(row)
 with open(out, "w") as f:
-    json.dump({"rows": rows}, f, indent=1, sort_keys=True)
+    json.dump({"host": json.loads(os.environ["PPM_BENCH_HOST"]),
+               "rows": rows}, f, indent=1, sort_keys=True)
     f.write("\n")
 print(f"wrote {out}: {len(rows)} rows")
 PY

@@ -199,6 +199,44 @@ if run["network_bytes"] > base["network_bytes"]:
 PY
 echo "perf smoke OK (artifact kept at ${perf_json})"
 
+echo "=== commit scale gate (64-node modeled CG) ==="
+# A global commit must cost O(peers written + log N) messages per node, not
+# O(N): the wire-kind counters of a 64-node modeled CG bound the commit
+# traffic (bundle + accum + token) per node per global phase by the peers
+# each node wrote plus two dissemination exchanges (the commit exchange and
+# one collective, e.g. ppm_do's group coordination). CG's phases write
+# only the owner's own chunk, so no bundle may be sent at all.
+scale_json="build/commit_scale.json"
+ASAN_OPTIONS=detect_leaks=0 \
+  build/tools/ppm_cli --app=cg --nodes=64 --size=27648 --iters=8 \
+    --calibration=0 --sim-threads=1 --json="${scale_json}" >/dev/null
+python3 - "${scale_json}" <<'PY'
+import json, math, sys
+with open(sys.argv[1]) as f:
+    run = json.load(f)
+nodes, phases, wire = run["nodes"], run["global_phases"], run["wire"]
+peers_written = 0  # CG writes only its own chunk
+commit = sum(wire[k]["messages"] for k in ("bundle", "accum", "token"))
+per = commit / (nodes * phases)
+limit = peers_written + 2 * math.ceil(math.log2(nodes))
+print(f"commit scale: {commit} commit messages over {nodes} nodes x "
+      f"{phases} global phases = {per:.2f} per node per phase "
+      f"(limit {limit}); bundles {wire['bundle']['messages']}")
+if wire["bundle"]["messages"] != 0:
+    sys.exit("FAIL: owner-computes CG sent write bundles "
+             f"({wire['bundle']['messages']})")
+if per > limit:
+    sys.exit(f"FAIL: commit traffic {per:.2f} msgs/node/phase exceeds "
+             f"peers written + 2*ceil(log2 N) = {limit}")
+PY
+echo "commit scale gate OK (artifact kept at ${scale_json})"
+
+echo "=== repository benchmark self-test (perfbench) ==="
+# Bit-identical vtime and counts across runs and across sim_threads 1 vs
+# 2, and a planted wrong answer must land in solves_failed
+# (perfbench/README.md).
+python3 perfbench/run.py --selftest
+
 echo "=== model validation gate (ppm::model vs simulator) ==="
 # The compositional performance model (docs/OBSERVABILITY.md) must
 # interpolate/extrapolate: coefficients fit from traced modeled runs at

@@ -199,6 +199,23 @@ void print_profile(NodeRuntime& rt) {
   }
 }
 
+/// Runtime traffic per wire kind, with messages per node per global phase
+/// (the commit protocol's scaling shows up directly in that column).
+void print_wire(const RunResult& r, int nodes) {
+  const double per = static_cast<double>(nodes) *
+                     static_cast<double>(std::max<uint64_t>(1, r.global_phases));
+  std::printf("wire traffic by kind:\n");
+  std::printf("  %-9s %12s %14s %16s\n", "kind", "messages", "bytes",
+              "msgs/node/phase");
+  for (const auto& [name, kind] : WireTraffic::kinds()) {
+    const WireCount& c = r.wire.*kind;
+    std::printf("  %-9s %12llu %14llu %16.2f\n", name,
+                static_cast<unsigned long long>(c.messages),
+                static_cast<unsigned long long>(c.bytes),
+                static_cast<double>(c.messages) / per);
+  }
+}
+
 bool write_file(const std::string& path, const void* data, size_t size) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) return false;
@@ -272,6 +289,15 @@ std::string result_to_json(const CliOptions& opt, int effective_sim_threads,
           r.remote_to_local_conversions);
   appendf(out, "\"stale_messages_dropped\": %" PRIu64 ",\n",
           r.stale_messages_dropped);
+  out += " \"wire\": {";
+  const char* sep = "";
+  for (const auto& [name, kind] : WireTraffic::kinds()) {
+    const WireCount& c = r.wire.*kind;
+    appendf(out, "%s\"%s\": {\"messages\": %" PRIu64 ", \"bytes\": %" PRIu64
+            "}", sep, name, c.messages, c.bytes);
+    sep = ", ";
+  }
+  out += "},\n";
   out += " \"counter_rollup\": [\n";
   for (size_t i = 0; i < r.counter_rollup.size(); ++i) {
     const auto& c = r.counter_rollup[i];
@@ -742,6 +768,7 @@ int run_cli(const CliOptions& opt) {
   }
   if (opt.profile) {
     print_profile(runtime.node(0));
+    print_wire(result, opt.nodes);
     std::fputs(result.trace_summary.to_string().c_str(), stdout);
   }
   if (opt.check) {
