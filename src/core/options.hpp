@@ -62,38 +62,6 @@ struct RuntimeOptions {
   /// go out as plain per-block requests). Committed results are unaffected.
   bool batch_fetches = true;
 
-  /// Stride-detecting lookahead: when consecutive demand misses on an
-  /// array are a constant element stride apart (SpMV column walks, strided
-  /// halos), prefetch the blocks holding the next `prefetch_lookahead_
-  /// blocks` strided elements — the forward-adjacent stream detector only
-  /// covers unit stride. Off, only adjacent streams are detected.
-  bool strided_prefetch = true;
-
-  /// Span-style bulk access: GlobalShared/NodeShared read_n/set_n/add_n
-  /// resolve whole contiguous runs through the runtime in one call —
-  /// bounds checks and owner lookups are hoisted out of the per-element
-  /// loop, contiguous write runs ship as single range entries, and commits
-  /// apply them memcpy/tight-loop style. Off, the bulk calls degrade to
-  /// the per-element paths (bit-identical committed results either way).
-  bool bulk_access = true;
-
-  /// Sender-side write combining: pre-reduce same-VP accumulate entries
-  /// and overwrite superseded same-VP set() entries per (array, element)
-  /// inside the per-destination write buffers before they are flushed.
-  /// Shrinks wire bytes and the commit batch; committed results stay
-  /// bit-identical.
-  bool combine_writes = true;
-
-  /// Owner-side accumulate: route GlobalShared::accumulate/accumulate_n
-  /// entries for remote elements through the compact kAccumList/
-  /// kAccumBlock wire fragments (no per-entry (vp_rank, seq) — 12 fewer
-  /// bytes per scalar entry/range record) and apply them at the owner
-  /// after the ordered commit batch, grouped by source node ascending.
-  /// Off, accumulate() degrades to the plain deferred-write path (same
-  /// committed results for the exactly commutative/associative ops the
-  /// API requires; the stress harness differentially checks both).
-  bool owner_side_accumulate = true;
-
   /// Locality engine: run the migration planner automatically at every
   /// global-phase commit for owner-mapped (Distribution::kAdaptive)
   /// arrays. Off, kAdaptive arrays keep their initial block-aligned layout
@@ -152,15 +120,6 @@ struct RuntimeOptions {
   /// detects the first error-severity violation instead of recording it
   /// and continuing. Warnings never throw.
   bool validate_fail_fast = false;
-
-  /// Host threads for the parallel windowed simulator (docs/SIM.md):
-  /// convenience forwarded into MachineConfig::sim_threads by ppm::run
-  /// when the machine config leaves it at 0. 0 keeps the classic
-  /// sequential engine; >= 1 runs one engine per simulated node in
-  /// conservative time windows (bit-identical results across windowed
-  /// thread counts). Subject to the clamps documented on
-  /// MachineConfig::sim_threads.
-  int sim_threads = 0;
 };
 
 struct PpmConfig {

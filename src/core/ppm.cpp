@@ -17,9 +17,7 @@ RunResult run_on(cluster::Machine& machine, const RuntimeOptions& options,
 
 RunResult run(const PpmConfig& config,
               const std::function<void(Env&)>& node_program) {
-  cluster::MachineConfig mc = config.machine;
-  if (mc.sim_threads == 0) mc.sim_threads = config.runtime.sim_threads;
-  cluster::Machine machine(mc);
+  cluster::Machine machine(config.machine);
   return run_on(machine, config.runtime, node_program);
 }
 

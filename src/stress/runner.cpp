@@ -26,18 +26,24 @@ struct PpmCtx {
     for (const uint64_t v : (*g)[a].gather(idx)) s += v;
     return s;
   }
-  // Every accumulate flavor routes through accumulate()/accumulate_n():
-  // with the owner_side_accumulate knob on, remote global elements ship
-  // as kAccumList/kAccumBlock fragments applied at the owner; with it
-  // off — and always for local elements and node-shared arrays — the
-  // handle falls back to the plain deferred-write path. Both must commit
-  // bit-identical state, which is exactly what the differential matrix
-  // checks.
+  // Global accumulates take both delivery paths, split by element parity:
+  // odd kAdd/kMin/kMax elements go through add()/min_update()/
+  // max_update(), the plain deferred-write path; the rest go through
+  // accumulate(), which ships remote elements as kAccumList fragments
+  // applied at the owner. Both must commit what run_golden computes.
+  // Node-shared arrays and local elements always take the plain path.
   void write(uint32_t a, uint64_t i, detail::WriteOp op, uint64_t v) const {
     if ((*spec).arrays[a].global) {
       auto& arr = (*g)[a];
+      const bool plain = i % 2 != 0;
       if (op == detail::WriteOp::kSet) {
         arr.set(i, v);
+      } else if (plain && op == detail::WriteOp::kAdd) {
+        arr.add(i, v);
+      } else if (plain && op == detail::WriteOp::kMin) {
+        arr.min_update(i, v);
+      } else if (plain && op == detail::WriteOp::kMax) {
+        arr.max_update(i, v);
       } else {
         arr.accumulate(i, static_cast<ReduceOp>(op), v);
       }
@@ -186,12 +192,6 @@ std::vector<StressConfig> sample_configs(uint64_t seed, int count) {
     c.runtime.prefetch_lookahead_blocks =
         static_cast<uint32_t>(rng.next_below(3));
     c.runtime.batch_fetches = rng.next_below(2) == 0;
-    c.runtime.strided_prefetch = rng.next_below(2) == 0;
-    c.runtime.bulk_access = rng.next_below(2) == 0;
-    c.runtime.combine_writes = rng.next_below(2) == 0;
-    // Mostly on (the default and the interesting path); off runs keep the
-    // fetch-based fallback honest as the equivalence oracle.
-    c.runtime.owner_side_accumulate = rng.next_below(4) != 0;
     c.runtime.adaptive_distribution = rng.next_below(2) == 0;
     c.runtime.migrate_remote_ratio = 1.0 + rng.next_double();
     c.runtime.migrate_max_blocks_per_phase =
@@ -209,13 +209,12 @@ std::vector<StressConfig> sample_configs(uint64_t seed, int count) {
           50'000 + static_cast<int64_t>(rng.next_below(200'000));
     }
     c.name = strfmt(
-        "cfg%d-%dn%dc-%s%s%s%s%s", i, c.machine.nodes,
+        "cfg%d-%dn%dc-%s%s%s%s", i, c.machine.nodes,
         c.machine.cores_per_node,
         c.runtime.schedule == SchedulePolicy::kDynamic ? "dyn" : "sta",
         c.machine.faults.delay_jitter ? "-faults" : "",
         c.runtime.adaptive_distribution ? "-adapt" : "",
-        c.runtime.validate_phases ? "" : "-nochk",
-        c.runtime.owner_side_accumulate ? "" : "-noacc");
+        c.runtime.validate_phases ? "" : "-nochk");
     out.push_back(std::move(c));
   }
   return out;

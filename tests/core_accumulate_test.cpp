@@ -4,10 +4,12 @@
 // The contract under test: for exactly commutative/associative ops
 // (integer add/min/max/mul, a registered XOR), owner-side delivery through
 // the compact kAccumList/kAccumBlock fragments commits bit-identical
-// state to the plain fetch-free deferred-write path, under every
-// distribution, with and without write combining, across a migration
-// epoch — while never adding a fetch round-trip. Non-commutative user ops
-// on conflicting elements are a reportable ppm::check violation.
+// state to the plain fetch-free deferred-write path (add()/min_update()/
+// max_update()/add_n(), and every op at one node where all elements are
+// local), under every distribution, with same-VP runs folded by write
+// combining, across a migration epoch — while never adding a fetch
+// round-trip. Non-commutative user ops on conflicting elements are a
+// reportable ppm::check violation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,32 +23,42 @@ namespace {
 
 constexpr uint64_t kN = 96;
 constexpr uint64_t kVpsPerNode = 8;
+/// VPs of run_mixed, spread over the nodes, so the one-node reference
+/// runs the same VP ranks as the three-node runs.
+constexpr uint64_t kMixedVps = 24;
 
-PpmConfig cfg(int nodes, bool owner_side, bool combine = true) {
+PpmConfig cfg(int nodes, int cores = 2) {
   PpmConfig c;
   c.machine.nodes = nodes;
-  c.machine.cores_per_node = 2;
-  c.runtime.owner_side_accumulate = owner_side;
-  c.runtime.combine_writes = combine;
+  c.machine.cores_per_node = cores;
   return c;
 }
 
+/// Which handle calls run_mixed uses for add/min/max.
+enum class Path {
+  kAccumulate,  // accumulate()/accumulate_n(): owner-side fragments
+  kPlain,       // add()/min_update()/max_update()/add_n(): plain entries
+};
+
 /// One accumulate-heavy program over a single array of the given
 /// distribution: seed, then three rounds mixing every accumulate flavor
-/// (scalar add/min/max/mul/xor plus an accumulate_n run), with scattered
-/// mostly-remote targets. Returns final contents (read on node 0) and the
-/// run statistics.
+/// (scalar add/min/max/mul/xor plus a bulk add run), with scattered
+/// mostly-remote targets. Each VP repeats its add and max, so write
+/// combining folds same-VP runs. Mul and xor have no plain handle call
+/// and go through accumulate() on either path. Returns final contents
+/// (read on node 0) and the run statistics.
 std::vector<uint64_t> run_mixed(const PpmConfig& c, Distribution dist,
+                                Path path = Path::kAccumulate,
                                 bool rebalance_mid = false,
                                 RunResult* stats = nullptr) {
   std::vector<uint64_t> out;
+  const bool plain = path == Path::kPlain;
   const RunResult res = run(c, [&](Env& env) {
     auto a = env.global_array<uint64_t>(kN, dist);
     env.register_accum_op<uint64_t>(
         a, 0, +[](uint64_t& x, const uint64_t& v) { x ^= v; });
-    auto vps = env.ppm_do(kVpsPerNode);
-    const uint64_t k_total =
-        kVpsPerNode * static_cast<uint64_t>(env.node_count());
+    const uint64_t k_total = kMixedVps;
+    auto vps = env.ppm_do(k_total / static_cast<uint64_t>(env.node_count()));
     vps.global_phase([&](Vp& vp) {
       for (uint64_t i = vp.global_rank(); i < kN; i += k_total) {
         a.set(i, i * 5 + 2);
@@ -59,15 +71,34 @@ std::vector<uint64_t> run_mixed(const PpmConfig& c, Distribution dist,
       // collide on an element — the model's determinism contract.
       vps.global_phase([&](Vp& vp) {
         const uint64_t r = vp.global_rank();
-        a.accumulate((r * 13 + round) % 16, ReduceOp::kAdd, r + 1);
-        a.accumulate(16 + (r * 29 + 1) % 16, ReduceOp::kMin, r * 3 + round);
-        a.accumulate(32 + (r * 17 + 5) % 16, ReduceOp::kMax, r * 40);
+        const uint64_t add_i = (r * 13 + round) % 16;
+        const uint64_t min_i = 16 + (r * 29 + 1) % 16;
+        const uint64_t max_i = 32 + (r * 17 + 5) % 16;
+        for (int rep = 0; rep < 2; ++rep) {
+          if (plain) {
+            a.add(add_i, r + 1);
+            a.max_update(max_i, r * 40 + static_cast<uint64_t>(rep));
+          } else {
+            a.accumulate(add_i, ReduceOp::kAdd, r + 1);
+            a.accumulate(max_i, ReduceOp::kMax,
+                         r * 40 + static_cast<uint64_t>(rep));
+          }
+        }
+        if (plain) {
+          a.min_update(min_i, r * 3 + round);
+        } else {
+          a.accumulate(min_i, ReduceOp::kMin, r * 3 + round);
+        }
         a.accumulate(48 + (r * 11 + 7) % 16, ReduceOp::kMul, 1 + round % 2);
         a.accumulate(64 + (r * 7 + 3) % 16, ReduceOp::kUser0,
                      r * 0x9e3779b97f4a7c15ULL);
         // Bulk add runs: overlapping 3-element windows inside [80, 96).
         const uint64_t vals[3] = {round + 1, round + 2, round + 3};
-        a.accumulate_n(80 + (r % 5) * 3, 3, ReduceOp::kAdd, vals);
+        if (plain) {
+          a.add_n(80 + (r % 5) * 3, 3, vals);
+        } else {
+          a.accumulate_n(80 + (r % 5) * 3, 3, ReduceOp::kAdd, vals);
+        }
       });
     }
     vps.global_phase([&](Vp& vp) {
@@ -80,26 +111,29 @@ std::vector<uint64_t> run_mixed(const PpmConfig& c, Distribution dist,
   return out;
 }
 
-TEST(CoreAccumulate, OwnerSideMatchesFetchPathEveryDistribution) {
+TEST(CoreAccumulate, OwnerSideMatchesPlainPathEveryDistribution) {
   // The differential contract on a hand-sized program: owner-side
-  // fragment delivery and the plain deferred-write path commit the same
-  // bits under kBlock, kCyclic, and kAdaptive.
+  // fragment delivery, the plain deferred-write path, and a one-node
+  // one-core run (every element local, every op on the plain path)
+  // commit the same bits under kBlock, kCyclic, and kAdaptive.
+  const auto ref = run_mixed(cfg(1, 1), Distribution::kBlock);
+  ASSERT_EQ(ref.size(), kN);
   for (const Distribution dist :
        {Distribution::kBlock, Distribution::kCyclic,
         Distribution::kAdaptive}) {
-    const auto on = run_mixed(cfg(3, /*owner_side=*/true), dist);
-    const auto off = run_mixed(cfg(3, /*owner_side=*/false), dist);
-    ASSERT_EQ(on.size(), kN);
-    EXPECT_EQ(on, off) << "distribution " << static_cast<int>(dist);
+    EXPECT_EQ(run_mixed(cfg(3), dist), ref)
+        << "distribution " << static_cast<int>(dist);
+    EXPECT_EQ(run_mixed(cfg(3), dist, Path::kPlain), ref)
+        << "distribution " << static_cast<int>(dist);
   }
 }
 
 TEST(CoreAccumulate, DistributionsAgreeWithEachOther) {
   // The program never reads mid-round, so its committed state is layout-
   // free: all three distributions must agree element-for-element.
-  const auto block = run_mixed(cfg(3, true), Distribution::kBlock);
-  const auto cyclic = run_mixed(cfg(3, true), Distribution::kCyclic);
-  const auto adaptive = run_mixed(cfg(3, true), Distribution::kAdaptive);
+  const auto block = run_mixed(cfg(3), Distribution::kBlock);
+  const auto cyclic = run_mixed(cfg(3), Distribution::kCyclic);
+  const auto adaptive = run_mixed(cfg(3), Distribution::kAdaptive);
   EXPECT_EQ(block, cyclic);
   EXPECT_EQ(block, adaptive);
 }
@@ -109,54 +143,76 @@ TEST(CoreAccumulate, BitIdenticalAcrossMigrationEpoch) {
   // that also carries staged accumulate fragments: block handoff must not
   // lose, duplicate, or reorder them.
   RunResult stats;
-  const auto on =
-      run_mixed(cfg(3, true), Distribution::kAdaptive, /*rebalance_mid=*/true,
-                &stats);
-  const auto off =
-      run_mixed(cfg(3, false), Distribution::kAdaptive, /*rebalance_mid=*/true);
-  EXPECT_EQ(on, off);
+  const auto on = run_mixed(cfg(3), Distribution::kAdaptive,
+                            Path::kAccumulate, /*rebalance_mid=*/true,
+                            &stats);
+  const auto plain = run_mixed(cfg(3), Distribution::kAdaptive, Path::kPlain,
+                               /*rebalance_mid=*/true);
+  EXPECT_EQ(on, plain);
   // And against the never-migrating layouts.
-  EXPECT_EQ(on, run_mixed(cfg(3, true), Distribution::kBlock));
+  EXPECT_EQ(on, run_mixed(cfg(3), Distribution::kBlock));
   EXPECT_GT(stats.accums_executed, 0u);
 }
 
 TEST(CoreAccumulate, CombineWritesInterplay) {
-  // Sender-side folding of same-VP same-op accumulate runs must not
-  // change committed bits, with the owner-side path on or off.
-  const auto base = run_mixed(cfg(3, true, /*combine=*/true),
-                              Distribution::kBlock);
-  EXPECT_EQ(base, run_mixed(cfg(3, true, false), Distribution::kBlock));
-  EXPECT_EQ(base, run_mixed(cfg(3, false, true), Distribution::kBlock));
-  EXPECT_EQ(base, run_mixed(cfg(3, false, false), Distribution::kBlock));
+  // Sender-side folding of same-VP same-op runs must not change committed
+  // bits on either delivery path: both fold entries at three nodes, and
+  // both match the one-node run, where every write is local and nothing
+  // is folded.
+  RunResult ref_stats, accum_stats, plain_stats;
+  const auto ref = run_mixed(cfg(1, 1), Distribution::kBlock,
+                             Path::kAccumulate, false, &ref_stats);
+  EXPECT_EQ(ref_stats.entries_combined, 0u);
+  EXPECT_EQ(run_mixed(cfg(3), Distribution::kBlock, Path::kAccumulate, false,
+                      &accum_stats),
+            ref);
+  EXPECT_EQ(run_mixed(cfg(3), Distribution::kBlock, Path::kPlain, false,
+                      &plain_stats),
+            ref);
+  EXPECT_GT(accum_stats.entries_combined, 0u);
+  EXPECT_GT(plain_stats.entries_combined, 0u);
 }
 
 TEST(CoreAccumulate, SameVpRunsAreCombined) {
   // A VP repeatedly accumulating the same element with one op is a
   // foldable run: the combiner must shrink shipped entries while leaving
-  // the committed sum exact.
-  auto program = [](bool combine) {
-    PpmConfig c = cfg(2, true, combine);
+  // the committed sum exact. The same writes spread one per VP cannot be
+  // folded, so they ship every entry. Both delivery paths fold.
+  constexpr uint64_t kRun = 8;
+  auto program = [&](Path path, bool spread) {
     uint64_t got = 0;
-    RunResult r = run(c, [&](Env& env) {
+    RunResult r = run(cfg(2), [&](Env& env) {
       auto a = env.global_array<uint64_t>(16);
-      auto vps = env.ppm_do(2);
+      auto vps = env.ppm_do(spread ? 2 * kRun : 2);
+      // Writer w = 0..3 adds w + 1, kRun times, to element 12 (node 1).
+      auto write = [&](uint64_t w) {
+        if (path == Path::kPlain) {
+          a.add(12, w + 1);
+        } else {
+          a.accumulate(12, ReduceOp::kAdd, w + 1);
+        }
+      };
       vps.global_phase([&](Vp& vp) {
-        for (int k = 0; k < 8; ++k) {
-          a.accumulate(12, ReduceOp::kAdd, vp.global_rank() + 1);
+        if (spread) {
+          write(vp.global_rank() / kRun);
+        } else {
+          for (uint64_t k = 0; k < kRun; ++k) write(vp.global_rank());
         }
       });
       vps.global_phase([&](Vp&) {
         if (env.node_id() == 0) got = a.get(12);
       });
     });
-    EXPECT_EQ(got, 8u * (1 + 2 + 3 + 4));
+    EXPECT_EQ(got, kRun * (1 + 2 + 3 + 4));
     return r;
   };
-  const RunResult combined = program(true);
-  const RunResult plain = program(false);
-  EXPECT_GT(combined.entries_combined, 0u);
-  EXPECT_EQ(plain.entries_combined, 0u);
-  EXPECT_LE(combined.network_bytes, plain.network_bytes);
+  for (const Path path : {Path::kAccumulate, Path::kPlain}) {
+    const RunResult combined = program(path, /*spread=*/false);
+    const RunResult spread = program(path, /*spread=*/true);
+    EXPECT_GT(combined.entries_combined, 0u);
+    EXPECT_EQ(spread.entries_combined, 0u);
+    EXPECT_LT(combined.network_bytes, spread.network_bytes);
+  }
 }
 
 TEST(CoreAccumulate, NoFetchRoundTripsAndFewerWireBytes) {
@@ -165,23 +221,32 @@ TEST(CoreAccumulate, NoFetchRoundTripsAndFewerWireBytes) {
   // or fetch a single block — the owner applies fragments in place — and
   // the compact fragments must beat the plain bundle encoding on wire
   // bytes (12 bytes per entry, counted in reduction_bytes_saved).
-  auto program = [](bool owner_side) {
-    return run(cfg(3, owner_side), [](Env& env) {
+  // The plain twin issues the same writes through add()/max_update()/
+  // add_n().
+  auto program = [](Path path) {
+    const bool plain = path == Path::kPlain;
+    return run(cfg(3), [&](Env& env) {
       auto a = env.global_array<uint64_t>(kN);
       auto vps = env.ppm_do(kVpsPerNode);
       for (uint64_t round = 0; round < 3; ++round) {
         vps.global_phase([&](Vp& vp) {
           const uint64_t r = vp.global_rank();
-          a.accumulate((r * 13 + round) % 32, ReduceOp::kAdd, r + 1);
-          a.accumulate(32 + (r * 17 + 5) % 32, ReduceOp::kMax, r * 40);
           const uint64_t vals[3] = {round + 1, round + 2, round + 3};
-          a.accumulate_n(64 + (r % 10) * 3, 3, ReduceOp::kAdd, vals);
+          if (plain) {
+            a.add((r * 13 + round) % 32, r + 1);
+            a.max_update(32 + (r * 17 + 5) % 32, r * 40);
+            a.add_n(64 + (r % 10) * 3, 3, vals);
+          } else {
+            a.accumulate((r * 13 + round) % 32, ReduceOp::kAdd, r + 1);
+            a.accumulate(32 + (r * 17 + 5) % 32, ReduceOp::kMax, r * 40);
+            a.accumulate_n(64 + (r % 10) * 3, 3, ReduceOp::kAdd, vals);
+          }
         });
       }
     });
   };
-  const RunResult on_stats = program(true);
-  const RunResult off_stats = program(false);
+  const RunResult on_stats = program(Path::kAccumulate);
+  const RunResult off_stats = program(Path::kPlain);
   EXPECT_EQ(on_stats.slow_path_reads, 0u);
   EXPECT_EQ(off_stats.slow_path_reads, 0u);
   EXPECT_EQ(on_stats.remote_blocks_fetched, 0u);
@@ -206,7 +271,7 @@ TEST(CoreAccumulate, ReduceAllOpsCorrectAndNodeAgreeing) {
     xr ^= v;
   }
   std::vector<std::vector<uint64_t>> per_node(kNodes);
-  run(cfg(kNodes, true), [&](Env& env) {
+  run(cfg(kNodes), [&](Env& env) {
     auto a = env.global_array<uint64_t>(kN);
     env.register_accum_op<uint64_t>(
         a, 0, +[](uint64_t& x, const uint64_t& v) { x ^= v; });
@@ -240,7 +305,7 @@ TEST(CoreAccumulate, ReduceDotMatchesLocalFold) {
     want += (static_cast<double>(i) + 0.5) * (2.0 - static_cast<double>(i % 3));
   }
   double got = 0;
-  RunResult stats = run(cfg(kNodes, true), [&](Env& env) {
+  RunResult stats = run(cfg(kNodes), [&](Env& env) {
     auto a = env.global_array<double>(kN);
     auto b = env.global_array<double>(kN);
     auto vps = env.ppm_do(kVpsPerNode);
@@ -266,7 +331,7 @@ TEST(CoreAccumulate, ReduceDotMismatchedLayoutsRejected) {
   // The dot partial pairs the two arrays' owner-packed spans
   // positionally: a block/cyclic mismatch would silently multiply
   // unrelated elements, so registration must reject it loudly.
-  EXPECT_THROW(run(cfg(2, true),
+  EXPECT_THROW(run(cfg(2),
                    [](Env& env) {
                      auto a = env.global_array<double>(kN);
                      auto b = env.global_array<double>(
@@ -280,7 +345,7 @@ TEST(CoreAccumulate, NonCommutativeUserOpConflictFlagged) {
   // x = 2x + v does not commute with itself. Registering it as
   // non-commutative and firing two VPs at one element must produce a
   // kNonCommutativeAccum finding at the owner.
-  PpmConfig c = cfg(2, true);
+  PpmConfig c = cfg(2);
   c.runtime.validate_phases = true;
   const RunResult r = run(c, [](Env& env) {
     auto a = env.global_array<uint64_t>(16);
@@ -303,9 +368,10 @@ TEST(CoreAccumulate, NonCommutativeUserOpConflictFlagged) {
 
 TEST(CoreAccumulate, NonCommutativeSingleWriterIsClean) {
   // One entry per element is deterministic no matter the op: the checker
-  // must not cry wolf, and both delivery paths agree on the result.
-  auto program = [](bool owner_side) {
-    PpmConfig c = cfg(2, owner_side);
+  // must not cry wolf, and the owner-side result at two nodes matches the
+  // one-node run, where the element is local (plain path).
+  auto program = [](int nodes) {
+    PpmConfig c = cfg(nodes);
     c.runtime.validate_phases = true;
     uint64_t got = 0;
     const RunResult r = run(c, [&](Env& env) {
@@ -313,7 +379,7 @@ TEST(CoreAccumulate, NonCommutativeSingleWriterIsClean) {
       env.register_accum_op<uint64_t>(
           a, 0, +[](uint64_t& x, const uint64_t& v) { x = 2 * x + v; },
           /*commutative=*/false);
-      auto vps = env.ppm_do(2);
+      auto vps = env.ppm_do(4 / static_cast<uint64_t>(env.node_count()));
       vps.global_phase([&](Vp& vp) {
         a.set(vp.global_rank() + 8, 3);
       });
@@ -328,23 +394,27 @@ TEST(CoreAccumulate, NonCommutativeSingleWriterIsClean) {
     EXPECT_TRUE(r.check_report.clean()) << r.check_report.to_string();
     return got;
   };
-  const uint64_t on = program(true);
+  const uint64_t on = program(2);
   EXPECT_EQ(on, 6u);  // 2*3 + rank 0
-  EXPECT_EQ(on, program(false));
+  EXPECT_EQ(on, program(1));
 }
 
 TEST(CoreAccumulate, CommutativeConflictsStayClean) {
   // Many VPs accumulating one element with a single commutative op is the
   // model's histogram idiom — never a violation, either delivery path.
-  for (const bool owner_side : {true, false}) {
-    PpmConfig c = cfg(2, owner_side);
+  for (const Path path : {Path::kAccumulate, Path::kPlain}) {
+    PpmConfig c = cfg(2);
     c.runtime.validate_phases = true;
     uint64_t got = 0;
     const RunResult r = run(c, [&](Env& env) {
       auto a = env.global_array<uint64_t>(16);
       auto vps = env.ppm_do(4);
       vps.global_phase([&](Vp& vp) {
-        a.accumulate(12, ReduceOp::kAdd, vp.global_rank() + 1);
+        if (path == Path::kPlain) {
+          a.add(12, vp.global_rank() + 1);
+        } else {
+          a.accumulate(12, ReduceOp::kAdd, vp.global_rank() + 1);
+        }
       });
       vps.global_phase([&](Vp&) {
         if (env.node_id() == 0) got = a.get(12);
@@ -358,7 +428,7 @@ TEST(CoreAccumulate, CommutativeConflictsStayClean) {
 TEST(CoreAccumulate, OutsidePhaseAccumulateIsImmediateLocal) {
   // Outside phases accumulate() degrades to the plain immediate write
   // path (local-only, like set outside phases).
-  PpmConfig c = cfg(1, true);
+  PpmConfig c = cfg(1);
   uint64_t got = 0;
   run(c, [&](Env& env) {
     auto a = env.global_array<uint64_t>(8);

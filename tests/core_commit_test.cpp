@@ -81,7 +81,6 @@ TEST(GlobalCommit, EagerFragmentAloneStillGetsALastFragment) {
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     PpmConfig c = cfg(2, 1);
     c.runtime.flush_threshold_bytes = kWrites * kEntryBytes;
-    c.runtime.combine_writes = false;
     jitter(c, seed);
     std::vector<int64_t> got;
     const RunResult r = run(c, [&](Env& env) {

@@ -1,7 +1,8 @@
 // The overlap engine: VP miss-switching, lookahead prefetch, and
-// sender-side write combining. The load-bearing property is that all
-// three are pure performance knobs — committed state is bit-identical
-// with them on or off — plus counters that prove each mechanism engaged.
+// sender-side write combining. The load-bearing property is that none of
+// them changes committed state — bit-identical with miss-switching on or
+// off, and with same-VP write runs folded or spread over distinct VPs —
+// plus counters that prove each mechanism engaged.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -94,23 +95,19 @@ TEST(Overlap, CommittedStateBitIdenticalAcrossConfigs) {
   const Committed ref = run_mixed_workload(base);
   ASSERT_EQ(ref.vals.size(), 1024u);
   for (const bool overlap : {false, true}) {
-    for (const bool combine : {false, true}) {
-      for (const auto schedule :
-           {SchedulePolicy::kStatic, SchedulePolicy::kDynamic}) {
-        RuntimeOptions o;
-        o.overlap_reads = overlap;
-        o.combine_writes = combine;
-        o.schedule = schedule;
-        const Committed got = run_mixed_workload(o);
-        ASSERT_EQ(got.bins, ref.bins)
-            << "overlap=" << overlap << " combine=" << combine;
-        // Bitwise comparison: even -0.0 vs 0.0 would be a drift.
-        ASSERT_EQ(got.vals.size(), ref.vals.size());
-        ASSERT_EQ(std::memcmp(got.vals.data(), ref.vals.data(),
-                              got.vals.size() * sizeof(double)),
-                  0)
-            << "overlap=" << overlap << " combine=" << combine;
-      }
+    for (const auto schedule :
+         {SchedulePolicy::kStatic, SchedulePolicy::kDynamic}) {
+      RuntimeOptions o;
+      o.overlap_reads = overlap;
+      o.schedule = schedule;
+      const Committed got = run_mixed_workload(o);
+      ASSERT_EQ(got.bins, ref.bins) << "overlap=" << overlap;
+      // Bitwise comparison: even -0.0 vs 0.0 would be a drift.
+      ASSERT_EQ(got.vals.size(), ref.vals.size());
+      ASSERT_EQ(std::memcmp(got.vals.data(), ref.vals.data(),
+                            got.vals.size() * sizeof(double)),
+                0)
+          << "overlap=" << overlap;
     }
   }
 }
@@ -188,14 +185,20 @@ TEST(Overlap, AutomaticStreamPrefetchEngagesOnForwardWalk) {
   EXPECT_GT(r.prefetch_hits, 0u);
 }
 
-RunResult run_dup_writes(bool combine, double* out_val) {
+// Node 0 adds 1..8 into each of four remote bins: one VP per bin (a
+// same-VP run the combiner folds) or, with `spread`, one VP per add (no
+// two entries of one VP to fold).
+RunResult run_dup_writes(bool spread, double* out_val) {
   PpmConfig c = cfg(2, 1);
-  c.runtime.combine_writes = combine;
   return run(c, [&](Env& env) {
     auto a = env.global_array<double>(64);
-    auto vps = env.ppm_do(env.node_id() == 0 ? 4 : 0);
+    auto vps = env.ppm_do(env.node_id() == 0 ? (spread ? 32 : 4) : 0);
     vps.global_phase([&](Vp& vp) {
-      // Each VP accumulates 8 times into its own remote bin.
+      if (spread) {
+        const uint64_t r = vp.node_rank();
+        a.add(32 + r / 8, static_cast<double>(r % 8 + 1));
+        return;
+      }
       const uint64_t bin = 32 + vp.node_rank();
       for (int t = 0; t < 8; ++t) {
         a.add(bin, static_cast<double>(t + 1));
@@ -208,8 +211,8 @@ RunResult run_dup_writes(bool combine, double* out_val) {
 
 TEST(Overlap, WriteCombiningShrinksTrafficNotResults) {
   double val_off = 0, val_on = 0;
-  const RunResult off = run_dup_writes(false, &val_off);
-  const RunResult on = run_dup_writes(true, &val_on);
+  const RunResult off = run_dup_writes(/*spread=*/true, &val_off);
+  const RunResult on = run_dup_writes(/*spread=*/false, &val_on);
   EXPECT_EQ(val_off, 36.0);  // 1+2+...+8
   EXPECT_EQ(val_on, 36.0);
   EXPECT_EQ(off.entries_combined, 0u);
@@ -220,9 +223,10 @@ TEST(Overlap, WriteCombiningShrinksTrafficNotResults) {
 }
 
 TEST(Overlap, CombiningPreservesSetAddInterleavings) {
-  for (const bool combine : {false, true}) {
-    PpmConfig c = cfg(2, 1);
-    c.runtime.combine_writes = combine;
+  // At one node element 5 is local and nothing is folded; at two nodes it
+  // is remote and the combiner folds the trailing adds.
+  for (const int nodes : {1, 2}) {
+    PpmConfig c = cfg(nodes, 1);
     double got = -1;
     RunResult r = run(c, [&](Env& env) {
       auto a = env.global_array<double>(8);
@@ -237,8 +241,12 @@ TEST(Overlap, CombiningPreservesSetAddInterleavings) {
       auto one = env.ppm_do(env.node_id() == 0 ? 1 : 0);
       one.global_phase([&](Vp&) { got = a.get(5); });
     });
-    EXPECT_EQ(got, 7.0) << "combine=" << combine;
-    if (combine) EXPECT_GE(r.entries_combined, 1u);
+    EXPECT_EQ(got, 7.0) << "nodes=" << nodes;
+    if (nodes == 2) {
+      EXPECT_GE(r.entries_combined, 1u);
+    } else {
+      EXPECT_EQ(r.entries_combined, 0u);
+    }
   }
 }
 

@@ -1,8 +1,8 @@
 // The read-engine fast path: a phase whose working set is cached must
 // never re-enter the runtime's slow remote path, the bulk read_n/set_n/
-// add_n spans and batched fetch lists are pure performance knobs
-// (bit-identical committed state), and the strided detector extends
-// lookahead beyond adjacent-block streams.
+// add_n spans commit the same state as explicit get/set/add loops,
+// batched fetch lists are a pure performance knob (bit-identical
+// committed state), and prefetch_range hints are counted as hits.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -78,8 +78,9 @@ TEST(ReadPath, FullyCachedSweepAddsZeroSlowPathReads) {
 }
 
 // Mixed bulk workload: set_n/add_n/read_n spans crossing chunk
-// boundaries plus scattered per-element writes. Returns the committed
-// contents; must be bit-identical with the bulk path on or off.
+// boundaries, or (bulk = false) the same accesses as explicit per-element
+// get/set/add loops. Returns the committed contents; must be
+// bit-identical either way.
 struct Committed {
   std::vector<double> vals;
   RunResult r;
@@ -89,7 +90,6 @@ Committed run_bulk_workload(bool bulk, bool batch) {
   constexpr uint64_t kN = 1024;
   constexpr uint64_t kK = 8;  // VPs per node
   PpmConfig c = cfg(4, 2);
-  c.runtime.bulk_access = bulk;
   c.runtime.batch_fetches = batch;
   c.runtime.read_block_bytes = 256;  // 32 doubles per block
   Committed out;
@@ -105,15 +105,27 @@ Committed run_bulk_workload(bool bulk, bool batch) {
       for (uint64_t j = 0; j < 16; ++j) {
         v[j] = static_cast<double>(first + j) * 0.5;
       }
-      vals.set_n(first, 16, v.data());
+      if (bulk) {
+        vals.set_n(first, 16, v.data());
+      } else {
+        for (uint64_t j = 0; j < 16; ++j) vals.set(first + j, v[j]);
+      }
     });
     // Scattered bulk accumulates on top, plus read_n round trips.
     vps.global_phase([&](Vp& vp) {
       const uint64_t first = mix(n * kK + vp.node_rank()) % (kN - 32);
       std::vector<double> got(32);
-      vals.read_n(first, 32, got.data());
+      if (bulk) {
+        vals.read_n(first, 32, got.data());
+      } else {
+        for (uint64_t j = 0; j < 32; ++j) got[j] = vals.get(first + j);
+      }
       for (auto& g : got) g = g * 0.25 + 1.0;
-      vals.add_n(first, 32, got.data());
+      if (bulk) {
+        vals.add_n(first, 32, got.data());
+      } else {
+        for (uint64_t j = 0; j < 32; ++j) vals.add(first + j, got[j]);
+      }
     });
     auto one = env.ppm_do(env.node_id() == 0 ? 1 : 0);
     one.global_phase([&](Vp&) {
@@ -157,7 +169,6 @@ TEST(ReadPath, PrefetchRangeCoversDemandedBand) {
   constexpr uint64_t kN = 4096;
   PpmConfig c = cfg(2, 1);
   c.runtime.prefetch_lookahead_blocks = 0;  // isolate the explicit hint
-  c.runtime.strided_prefetch = false;
   const RunResult r = run(c, [&](Env& env) {
     auto a = env.global_array<double>(kN);
     auto vps = env.ppm_do(env.node_id() == 0 ? 1 : 0);
@@ -172,35 +183,6 @@ TEST(ReadPath, PrefetchRangeCoversDemandedBand) {
   EXPECT_EQ(r.prefetch_issued, 2u);
   EXPECT_EQ(r.prefetch_hits, 2u);
   EXPECT_EQ(r.remote_blocks_fetched, 2u);
-}
-
-// A constant-stride walk two blocks apart: the adjacent-stream detector
-// cannot see it, the strided detector must.
-TEST(ReadPath, StridedDetectorExtendsLookahead) {
-  constexpr uint64_t kN = 1 << 15;
-  auto walk = [&](bool strided) {
-    PpmConfig c = cfg(2, 1);
-    c.runtime.strided_prefetch = strided;
-    const RunResult r = run(c, [&](Env& env) {
-      auto a = env.global_array<double>(kN);
-      auto vps = env.ppm_do(env.node_id() == 0 ? 1 : 0);
-      vps.global_phase([&](Vp&) {
-        double acc = 0;
-        // Stride of 512 doubles = 2 blocks: every read is a fresh block,
-        // never the forward-adjacent one.
-        for (uint64_t i = kN / 2; i < kN; i += 512) acc += a.get(i);
-        EXPECT_EQ(acc, 0.0);
-      });
-    });
-    return r;
-  };
-  const RunResult on = walk(true);
-  const RunResult off = walk(false);
-  EXPECT_GT(on.prefetch_issued, 0u);
-  EXPECT_GT(on.prefetch_hits, 0u);
-  EXPECT_EQ(off.prefetch_issued, 0u);
-  // The walk itself reads the same blocks either way.
-  EXPECT_EQ(on.remote_blocks_fetched, off.remote_blocks_fetched);
 }
 
 }  // namespace

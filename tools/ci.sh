@@ -18,6 +18,23 @@ jobs=$(nproc 2>/dev/null || echo 4)
 
 declare -A builddir=([default]=build [san]=build-san)
 
+echo "=== RuntimeOptions doc table (docs/API.md) ==="
+# Every RuntimeOptions field has a row in the docs/API.md table, and every
+# row names a field.
+python3 - src/core/options.hpp docs/API.md <<'PY'
+import re, sys
+src = open(sys.argv[1]).read()
+body = re.search(r"struct RuntimeOptions \{(.*?)\n\};", src, re.S)[1]
+fields = set(re.findall(r"^  [\w:]+ (\w+)(?: = [^;]*)?;", body, re.M))
+doc = open(sys.argv[2]).read().split("\n## RuntimeOptions\n", 1)[1]
+doc = doc.split("\n## ", 1)[0]
+rows = set(re.findall(r"^\| `(\w+)` \|", doc, re.M))
+assert fields, "no RuntimeOptions fields parsed"
+assert fields == rows, (f"missing rows: {sorted(fields - rows)}; "
+                        f"rows naming no field: {sorted(rows - fields)}")
+print(f"RuntimeOptions table OK: {len(fields)} fields")
+PY
+
 for preset in default san; do
   echo "=== configure+build preset: ${preset} ==="
   cmake --preset "${preset}"
@@ -31,15 +48,6 @@ for preset in default san; do
   # the test preset (error-path fiber abandonment is not a leak).
   ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
     "${builddir[$preset]}/tools/ppm_stress" --smoke
-  # Owner-side accumulate (docs/MODEL.md): the matrix samples the
-  # owner_side_accumulate knob per config, but CI pins each delivery path
-  # once — owner-applied fragments and the fetch-based fallback — so a
-  # regression in either cannot hide behind what the sampler happened to
-  # draw. Same fixed seed set as --smoke.
-  ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
-    "${builddir[$preset]}/tools/ppm_stress" --smoke --owner-accum=1
-  ASAN_OPTIONS=detect_leaks=0 UBSAN_OPTIONS=print_stacktrace=1 \
-    "${builddir[$preset]}/tools/ppm_stress" --smoke --owner-accum=0
   echo "=== jobs smoke preset: ${preset} ==="
   # Multi-tenant scheduler gates (docs/SCHEDULER.md): ppm_jobs --smoke
   # checks replay determinism (byte-identical JSON across two runs per
