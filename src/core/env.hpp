@@ -207,7 +207,7 @@ class Env {
 
   // ---- Utility functions (§3.1 item 6) ----
 
-  void barrier() { rt_->barrier_global(); }
+  void barrier() { (void)rt_->barrier_allgather(Bytes{}); }
 
   /// Name the next phase started on this node (`env.phase_label("spmv")`).
   /// The label lands in PhaseProfile::label, ppm::trace events, and the
@@ -270,8 +270,8 @@ class Env {
   void broadcast(std::vector<T>& data, int root) {
     ByteWriter w;
     if (node_id() == root) w.put_vector(data);
-    const auto all = rt_->allgather_bytes(std::move(w).take());
-    ByteReader r(all[static_cast<size_t>(root)]);
+    const Bytes blob = rt_->broadcast_bytes(std::move(w).take(), root);
+    ByteReader r(blob);
     data = r.get_vector<T>();
   }
 

@@ -219,6 +219,12 @@ struct RunResult {
   uint64_t stale_messages_dropped = 0;
   /// Runtime traffic split by wire kind, summed over nodes.
   WireTraffic wire;
+  /// Radix k and rounds ceil(log_k N) of the k-ary dissemination the
+  /// commit exchange and the node collectives ran (Env::broadcast runs
+  /// radix 2). Chosen from the node count and the network's latency and
+  /// per-message overheads; rounds is 0 on one node.
+  int exchange_radix = 2;
+  int exchange_rounds = 0;
   /// Findings of the phase-semantics sanitizer, merged over all nodes.
   /// Populated only when RuntimeOptions::validate_phases was set.
   check::Report check_report;

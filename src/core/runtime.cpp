@@ -147,6 +147,8 @@ Runtime::Runtime(cluster::Machine& machine, RuntimeOptions options,
               "machine node %d appears twice in partition", phys);
     logical_of_[static_cast<size_t>(phys)] = static_cast<int>(k);
   }
+  exchange_plan_ = net::choose_dissemination(
+      static_cast<int>(partition_.size()), machine.fabric().config().network);
   if (!machine.windowed()) {
     // The quiesce latch is a classic-mode facility: only ppm::jobs waits on
     // it, and the jobs scheduler always configures a shared backbone, which
@@ -221,6 +223,8 @@ RunResult Runtime::collect() const {
   r.network_bytes = fs.inter_bytes.value();
   r.intranode_messages = fs.intra_messages.value();
   r.intranode_bytes = fs.intra_bytes.value();
+  r.exchange_radix = exchange_plan_.radix;
+  r.exchange_rounds = exchange_plan_.rounds;
   for (const auto& n : nodes_) {
     const auto& c = n->counters();
     r.global_phases += c.global_phases;
@@ -372,8 +376,8 @@ void NodeRuntime::start() {
 void NodeRuntime::finish() {
   PPM_CHECK(started_, "NodeRuntime::finish without start");
   PPM_CHECK(phase_scope_ == PhaseScope::kNone, "finish inside a phase");
-  // Quiesce: after this barrier no peer will address this node again.
-  barrier_global();
+  // Quiesce: after this exchange no peer will address this node again.
+  (void)barrier_allgather(Bytes{});
   task_.shutdown = true;
   task_cv_->notify_all();
   rt_send(node_, detail::rt_kind(detail::RtMsg::kShutdown), Bytes{});
@@ -2937,65 +2941,73 @@ Bytes NodeRuntime::token_recv(int src_node, uint32_t channel, uint64_t seq,
   return payload;
 }
 
-void NodeRuntime::barrier_global() {
-  const int p = node_count();
-  if (p == 1) return;
-  const uint64_t seq = barrier_seq_++;
-  uint32_t round = 0;
-  for (int offset = 1; offset < p; offset *= 2, ++round) {
-    token_send((node_ + offset) % p, kChBarrier, seq, round, Bytes{});
-    (void)token_recv((node_ - offset % p + p) % p, kChBarrier, seq, round);
-  }
-}
-
 std::vector<Bytes> NodeRuntime::barrier_allgather(Bytes mine) {
-  return dissemination_allgather(kChBarrier, barrier_seq_++, std::move(mine));
+  return dissemination_allgather(kChBarrier, barrier_seq_++,
+                                 shared_.exchange_plan().radix,
+                                 std::move(mine));
 }
 
 std::vector<Bytes> NodeRuntime::allgather_bytes(Bytes mine) {
-  return dissemination_allgather(kChColl, coll_seq_++, std::move(mine));
+  return dissemination_allgather(kChColl, coll_seq_++,
+                                 shared_.exchange_plan().radix,
+                                 std::move(mine));
+}
+
+Bytes NodeRuntime::broadcast_bytes(Bytes mine, int root) {
+  return std::move(dissemination_allgather(kChColl, coll_seq_++, 2,
+                                           std::move(mine))
+                       [static_cast<size_t>(root)]);
 }
 
 std::vector<Bytes> NodeRuntime::dissemination_allgather(uint32_t channel,
                                                         uint64_t seq,
+                                                        int radix,
                                                         Bytes mine) {
   const int p = node_count();
   std::vector<Bytes> blocks(static_cast<size_t>(p));
   blocks[static_cast<size_t>(node_)] = std::move(mine);
-  // Bruck-style dissemination: the identical send/recv pattern (offsets
-  // 1, 2, 4, ... — and with it the round count and the synchronization
-  // property) as barrier_global, but each round's token carries the
-  // contributions its receiver is still missing. After round r every node
-  // holds the blocks of ranks node_, node_-1, ..., node_-(2^(r+1)-1).
+  // k-ary Bruck dissemination (net/dissemination.hpp). Entering a round
+  // this node holds the blocks of ranks node_, node_-1, ..., node_-(have-1).
+  // It sends the first min(have, p - j*have) of them to node_ + j*have and
+  // receives as many from node_ - j*have, for j = 1..k-1 while j*have < p,
+  // so the last round only fills in the ranks still missing. Every send of
+  // a round leaves before its first receive; the receives synchronize.
   // Counts and lengths are varints: a round of empty blocks costs a few
   // bytes over a bare barrier token.
-  int have = 1;
   uint32_t round = 0;
-  for (int offset = 1; offset < p; offset *= 2, ++round) {
-    const int send_count = std::min(have, p - have);
-    ByteWriter w;
-    w.put_varint(static_cast<uint64_t>(send_count));
-    for (int b = 0; b < send_count; ++b) {
-      const Bytes& blk = blocks[static_cast<size_t>((node_ - b + p) % p)];
-      w.put_varint(blk.size());
-      w.put_raw(blk.data(), blk.size());
+  for (int64_t have = 1; have < p; have *= radix, ++round) {
+    const int64_t peers = std::min<int64_t>(radix - 1, (p - 1) / have);
+    const auto count = [&](int64_t j) {
+      return static_cast<int>(std::min(have, p - j * have));
+    };
+    for (int64_t j = 1; j <= peers; ++j) {
+      const int n = count(j);
+      ByteWriter w;
+      w.put_varint(static_cast<uint64_t>(n));
+      for (int b = 0; b < n; ++b) {
+        const Bytes& blk = blocks[static_cast<size_t>((node_ - b + p) % p)];
+        w.put_varint(blk.size());
+        w.put_raw(blk.data(), blk.size());
+      }
+      token_send(static_cast<int>((node_ + j * have) % p), channel, seq,
+                 round, std::move(w).take());
     }
-    token_send((node_ + offset) % p, channel, seq, round,
-               std::move(w).take());
-    const int peer = (node_ - offset % p + p) % p;
-    const Bytes in = token_recv(peer, channel, seq, round);
-    ByteReader r(in);
-    const uint64_t count = r.get_varint();
-    PPM_CHECK(count == static_cast<uint64_t>(send_count),
-              "allgather out of lockstep (round %u: got %llu blocks, "
-              "expected %d)",
-              round, static_cast<unsigned long long>(count), send_count);
-    for (int b = 0; b < send_count; ++b) {
-      const auto v = r.view(r.get_varint());
-      blocks[static_cast<size_t>((peer - b + p) % p)].assign(v.begin(),
-                                                             v.end());
+    for (int64_t j = 1; j <= peers; ++j) {
+      const int peer = static_cast<int>((node_ - j * have + p) % p);
+      const Bytes in = token_recv(peer, channel, seq, round);
+      ByteReader r(in);
+      const int n = count(j);
+      const uint64_t got = r.get_varint();
+      PPM_CHECK(got == static_cast<uint64_t>(n),
+                "allgather out of lockstep (round %u from node %d: got %llu "
+                "blocks, expected %d)",
+                round, peer, static_cast<unsigned long long>(got), n);
+      for (int b = 0; b < n; ++b) {
+        const auto v = r.view(r.get_varint());
+        blocks[static_cast<size_t>((peer - b + p) % p)].assign(v.begin(),
+                                                               v.end());
+      }
     }
-    have += send_count;
   }
   return blocks;
 }

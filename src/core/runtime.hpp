@@ -37,6 +37,7 @@
 #include "cluster/machine.hpp"
 #include "core/options.hpp"
 #include "core/wire.hpp"
+#include "net/dissemination.hpp"
 #include "sim/sync.hpp"
 #include "trace/recorder.hpp"
 
@@ -289,6 +290,13 @@ class Runtime {
   }
   uint32_t run_tag() const { return run_tag_; }
 
+  /// The k-ary dissemination plan of the commit exchange and the node
+  /// collectives, chosen once from the node count and the network's LogP
+  /// costs (net::choose_dissemination).
+  const net::DisseminationPlan& exchange_plan() const {
+    return exchange_plan_;
+  }
+
   /// Block until every service and worker fiber spawned by the nodes'
   /// start() calls has exited (all have once every node program ran
   /// finish()). A scheduler must wait for this before tearing the Runtime
@@ -316,6 +324,7 @@ class Runtime {
   std::vector<int> partition_;   // logical node -> physical machine node
   std::vector<int> logical_of_;  // physical machine node -> logical (or -1)
   uint32_t run_tag_ = 0;
+  net::DisseminationPlan exchange_plan_;
   // Atomic: under the windowed simulator (docs/SIM.md) runtime fibers of
   // different nodes exit on different host threads. The quiesce CV itself
   // exists only in classic mode (see wait_runtime_fibers_exited).
@@ -501,10 +510,21 @@ class NodeRuntime {
 
   // ---- Node-level collectives (used by Env and the commit protocol) ----
 
-  void barrier_global();
-  /// Allgather of byte blobs over nodes; result indexed by node. Bruck
-  /// dissemination: ceil(log2 N) rounds, one token per node per round.
+  /// The commit exchange: a global barrier that doubles as an allgather
+  /// on the barrier channel (Env::barrier and finish() pass an empty
+  /// blob). Each round's tokens carry the byte blobs their receivers are
+  /// missing, so the fragment-count, planner-counter and reduce-partial
+  /// exchanges ride the commit barrier at zero extra latency rounds.
+  /// Result indexed by node.
+  std::vector<Bytes> barrier_allgather(Bytes mine);
+  /// Allgather of byte blobs over nodes; result indexed by node. k-ary
+  /// Bruck dissemination (Runtime::exchange_plan): ceil(log_k N) rounds,
+  /// k - 1 tokens per node per round.
   std::vector<Bytes> allgather_bytes(Bytes mine);
+  /// `root`'s blob on every node (the others pass an empty one). Radix-2
+  /// dissemination: a k-ary round would make the holder's egress NIC send
+  /// k - 1 copies of a possibly large blob.
+  Bytes broadcast_bytes(Bytes mine, int root);
 
   // ---- Counters (exposed for tests/benches) ----
 
@@ -744,14 +764,8 @@ class NodeRuntime {
   /// Arrays the next planning round covers, in ascending id order
   /// (identical on every node).
   std::vector<uint32_t> planned_array_ids() const;
-  /// The commit exchange: a global barrier that doubles as an allgather
-  /// (allgather_bytes' dissemination pattern on the barrier channel). Each
-  /// round's token carries the byte blobs its receiver is missing, so the
-  /// fragment-count, planner-counter and reduce-partial exchanges ride the
-  /// commit barrier at zero extra latency rounds. Result indexed by node.
-  std::vector<Bytes> barrier_allgather(Bytes mine);
   std::vector<Bytes> dissemination_allgather(uint32_t channel, uint64_t seq,
-                                             Bytes mine);
+                                             int radix, Bytes mine);
   /// From the allgathered access counters (each reader positioned at its
   /// node's counter vectors), compute the identical greedy plan on every
   /// node, rewrite the owner maps, move block payloads via kMigrateBlock,

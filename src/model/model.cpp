@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "cluster/machine.hpp"
+#include "net/dissemination.hpp"
 #include "util/error.hpp"
 
 namespace ppm::model {
@@ -72,10 +73,17 @@ bool solve_inplace(std::vector<std::vector<double>>& m,
   return true;
 }
 
-int dissemination_depth(double nodes) {
-  int depth = 0;
-  for (double span = 1.0; span < nodes; span *= 2.0) ++depth;
-  return depth < 1 ? 1 : depth;
+/// Cost of one commit exchange at `nodes` nodes: the runtime's k-ary
+/// dissemination plan for these link costs.
+double exchange_cost_ns(const MachineCosts& costs, double nodes) {
+  const net::LinkParams link{
+      .latency_ns = std::llround(costs.latency_ns),
+      .bytes_per_ns = costs.bytes_per_ns,
+      .send_overhead_ns = std::llround(costs.send_overhead_ns),
+      .recv_overhead_ns = std::llround(costs.recv_overhead_ns)};
+  return net::choose_dissemination(static_cast<int>(std::lround(nodes)),
+                                   link)
+      .cost_ns;
 }
 
 void appendf(std::string& out, const char* fmt, ...)
@@ -205,7 +213,6 @@ std::vector<double> term_drivers(const MachineCosts& costs, double nodes,
                                  double bytes, double fetches,
                                  double stall_ns, double global_phases) {
   const double sw = costs.send_overhead_ns + costs.recv_overhead_ns;
-  const double depth = dissemination_depth(nodes);
   return {
       // compute: the critical-path compute legs, straight time.
       compute_critical_ns,
@@ -222,9 +229,10 @@ std::vector<double> term_drivers(const MachineCosts& costs, double nodes,
       // stall_node: residual per-node fetch stall the fetch_rt term's
       // idealized round trips do not capture (queueing, convoying).
       stall_ns / nodes,
-      // barrier: every global phase commits through an O(log N)
-      // dissemination barrier; each round is one message hop.
-      global_phases * depth * (costs.latency_ns + sw),
+      // barrier: every global phase commits through one k-ary
+      // dissemination exchange of ceil(log_k N) rounds, each one message
+      // hop plus k - 1 software overheads on either side.
+      global_phases * exchange_cost_ns(costs, nodes),
   };
 }
 

@@ -19,7 +19,7 @@
 //      drivers and the machine's link parameters: per-phase critical
 //      compute, per-fetch round trips, wire-byte serialization, per-
 //      message software overhead, per-node residual fetch stall, and the
-//      commit barrier's O(log N) dissemination depth. Coefficients are
+//      commit exchange's k-ary dissemination cost. Coefficients are
 //      fit by ridge-regularized non-negative least squares pulled toward
 //      the physical prior (coefficient 1 = the analytic cost is exactly
 //      right), so the fit *corrects* the cost model instead of free-

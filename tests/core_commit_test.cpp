@@ -108,21 +108,22 @@ TEST(GlobalCommit, EagerFragmentAloneStillGetsALastFragment) {
 class OutsidePhaseRead : public ::testing::TestWithParam<int> {};
 
 TEST_P(OutsidePhaseRead, SeesTheCommitOfAnOwnerStillWaiting) {
-  // Round r: owner o = r % 4 has its chunk written by w = o + 1, the one
-  // node whose tokens never reach o directly in a 4-node dissemination
-  // (o hears from o - 1 and o - 2). With w's fragment jittered, o can
-  // finish the commit exchange long before the fragment lands, while the
-  // other nodes are already out of their commits and reading o's chunk.
-  // Those reads carry the readers' new epoch and must wait for o's apply.
-  constexpr int kNodes = 4;
+  // Round r: owner o = r % 16 has its chunk written by w = o + 1, a node
+  // whose tokens never reach o directly in a 16-node radix-4 exchange (o
+  // hears from o - 1, o - 2, o - 3, o - 4, o - 8 and o - 12). With w's
+  // fragment jittered, o can finish the commit exchange long before the
+  // fragment lands, while the other nodes are already out of their
+  // commits and reading o's chunk. Those reads carry the readers' new
+  // epoch and must wait for o's apply.
+  constexpr int kNodes = 16;
   constexpr uint64_t kPer = 8;
-  constexpr int kRounds = 24;
+  constexpr int kRounds = 32;
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     PpmConfig c = cfg(kNodes, 1, GetParam());
     jitter(c, seed);
     std::vector<int> stale(kNodes, 0);
     std::vector<int> reads(kNodes, 0);
-    run(c, [&](Env& env) {
+    const RunResult r = run(c, [&](Env& env) {
       auto a = env.global_array<int64_t>(kNodes * kPer);
       auto vps = env.ppm_do(1);
       const int me = env.node_id();
@@ -144,8 +145,10 @@ TEST_P(OutsidePhaseRead, SeesTheCommitOfAnOwnerStillWaiting) {
         }
       }
     });
+    ASSERT_EQ(r.exchange_radix, 4);
     for (int n = 0; n < kNodes; ++n) {
-      EXPECT_EQ(reads[static_cast<size_t>(n)], kRounds * 3 / 4 * kPer)
+      EXPECT_EQ(reads[static_cast<size_t>(n)],
+                kRounds / kNodes * (kNodes - 1) * kPer)
           << "node " << n;
       EXPECT_EQ(stale[static_cast<size_t>(n)], 0)
           << "node " << n << " read pre-commit values (seed " << seed << ")";
@@ -231,11 +234,15 @@ TEST(GlobalCommit, ReduceOverRemoteWritesTakesTheSecondExchange) {
     }
   }
   // Owner-local writes resolve on the commit exchange itself; remote ones
-  // need one more 2-round exchange (4 nodes x 2 tokens) per commit.
+  // need one more exchange per commit: 3 commits x 4 nodes x the plan's
+  // tokens per node (radix 4 on 4 nodes: 3 tokens in one round).
+  const uint64_t tokens = static_cast<uint64_t>(
+      net::choose_dissemination(4, cluster::MachineConfig{}.network).tokens);
+  EXPECT_EQ(tokens, 3u);
   EXPECT_EQ(local.result.bundles_sent, 0u);
   EXPECT_GT(remote.result.bundles_sent, 0u);
   EXPECT_EQ(remote.result.wire.token.messages,
-            local.result.wire.token.messages + 3u * 4u * 2u);
+            local.result.wire.token.messages + 3u * 4u * tokens);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "model/model.hpp"
+#include "net/dissemination.hpp"
 #include "util/error.hpp"
 
 namespace ppm::model {
@@ -83,20 +84,25 @@ TEST(TermDrivers, MatchAnalyticCosts) {
   EXPECT_DOUBLE_EQ(d[2], 8000.0 / 2.0);                   // wire
   EXPECT_DOUBLE_EQ(d[3], 100.0 * 1000.0);                 // msg_sw
   EXPECT_DOUBLE_EQ(d[4], 1000.0);                         // stall_node
-  EXPECT_DOUBLE_EQ(d[5], 10.0 * 3 * 6000.0);              // barrier, log2(8)=3
+  // barrier: 8 nodes exchange in one radix-8 round, 5000 + 7 x 1000 ns.
+  EXPECT_DOUBLE_EQ(d[5], 10.0 * 12000.0);
 }
 
-TEST(TermDrivers, BarrierDepthIsCeilLog2) {
+TEST(TermDrivers, BarrierIsTheRuntimeExchangePlan) {
   const MachineCosts c;
-  const double per_round = c.latency_ns + c.send_overhead_ns +
-                           c.recv_overhead_ns;
-  // Non-power-of-two node counts round the dissemination depth up.
-  const auto depth = [&](double n) {
-    return term_drivers(c, n, 0, 0, 0, 0, 0, 1.0)[5] / per_round;
+  const auto barrier = [&](double n) {
+    return term_drivers(c, n, 0, 0, 0, 0, 0, 1.0)[5];
   };
-  EXPECT_DOUBLE_EQ(depth(2), 1.0);
-  EXPECT_DOUBLE_EQ(depth(12), 4.0);
-  EXPECT_DOUBLE_EQ(depth(9660), 14.0);
+  // The runtime's plan for the same link costs, priced by the LogP rule
+  // rounds x (L + (k - 1)(o_s + o_r)).
+  for (const int n : {2, 12, 64, 9660}) {
+    EXPECT_DOUBLE_EQ(barrier(n),
+                     net::choose_dissemination(n, net::LinkParams{}).cost_ns)
+        << "N=" << n;
+  }
+  EXPECT_DOUBLE_EQ(barrier(2), 6000.0);          // radix 2, one round
+  EXPECT_DOUBLE_EQ(barrier(12), 2 * 8000.0);     // radix 4, two rounds
+  EXPECT_DOUBLE_EQ(barrier(64), 3 * 8000.0);     // radix 4, three rounds
 }
 
 /// Synthetic observations whose vtime is an exact known combination of

@@ -204,6 +204,8 @@ void print_profile(NodeRuntime& rt) {
 void print_wire(const RunResult& r, int nodes) {
   const double per = static_cast<double>(nodes) *
                      static_cast<double>(std::max<uint64_t>(1, r.global_phases));
+  std::printf("commit exchange: radix %d, %d round(s)\n", r.exchange_radix,
+              r.exchange_rounds);
   std::printf("wire traffic by kind:\n");
   std::printf("  %-9s %12s %14s %16s\n", "kind", "messages", "bytes",
               "msgs/node/phase");
@@ -287,8 +289,10 @@ std::string result_to_json(const CliOptions& opt, int effective_sim_threads,
   appendf(out, "\"migration_bytes\": %" PRIu64 ", ", r.migration_bytes);
   appendf(out, "\"remote_to_local_conversions\": %" PRIu64 ", ",
           r.remote_to_local_conversions);
-  appendf(out, "\"stale_messages_dropped\": %" PRIu64 ",\n",
+  appendf(out, "\"stale_messages_dropped\": %" PRIu64 ",\n ",
           r.stale_messages_dropped);
+  appendf(out, "\"exchange_radix\": %d, \"exchange_rounds\": %d,\n",
+          r.exchange_radix, r.exchange_rounds);
   out += " \"wire\": {";
   const char* sep = "";
   for (const auto& [name, kind] : WireTraffic::kinds()) {
