@@ -38,13 +38,14 @@ struct MachineConfig {
   double backbone_bytes_per_ns = 0.0;
   sim::EngineConfig engine{};
   /// Host threads for the parallel windowed simulator (docs/SIM.md).
-  /// 0 (the default) keeps the classic single shared engine — exactly the
-  /// historical sequential behavior. >= 1 switches to windowed mode: one
-  /// Engine per simulated node, driven in conservative time windows on
-  /// min(sim_threads, nodes) host threads. Every windowed thread count
-  /// replays the same simulation bit-for-bit (sim_threads=1 is the
-  /// reference); classic and windowed may order same-time events
-  /// differently, so virtual times can differ between 0 and >= 1.
+  /// 0 (the default) keeps the classic single shared engine. >= 1 switches
+  /// to windowed mode: one Engine per simulated node, driven in
+  /// conservative time windows on min(sim_threads, nodes) host threads.
+  /// Every windowed thread count replays the same simulation bit-for-bit
+  /// (sim_threads=1 is the reference). Both engines run one fabric timing
+  /// model; they only order same-time events differently, so virtual
+  /// times between 0 and >= 1 agree closely but not bit-for-bit (within
+  /// 1% on the figure apps, gated by tools/ci.sh).
   /// Silently forced back to 0 when the config cannot be source-
   /// partitioned: backbone_bytes_per_ns > 0 (a machine-global
   /// serialization point) or network.latency_ns <= 0 (the lookahead must

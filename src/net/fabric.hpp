@@ -13,7 +13,9 @@
 //     of one node *contend* for the network, an effect the paper's runtime
 //     explicitly schedules around;
 //   * wire latency;
-//   * ingress serialization at the destination NIC;
+//   * ingress serialization at the destination NIC, booked when the
+//     message's first byte arrives (so a later-sent message that arrives
+//     first is absorbed first);
 //   * per-message receiver software overhead.
 // Messages between endpoints of the same node travel a separate intra-node
 // fabric (lower latency, higher bandwidth, no NIC occupancy) modeling
@@ -30,7 +32,6 @@
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "util/byte_buffer.hpp"
-#include "util/rng.hpp"
 #include "util/stats.hpp"
 
 namespace ppm::trace {
@@ -55,20 +56,21 @@ struct LinkParams {
 /// Delivery between one (src node, dst node, dst port) pair stays FIFO
 /// (jittered times are clamped to the pair's previous delivery), matching
 /// the in-order-per-pair contract real transports give and the runtime's
-/// bundle fragment protocol assumes. All randomness comes from `seed`, so
-/// a faulty schedule replays exactly.
+/// bundle fragment protocol assumes. A message's jitter is a pure hash of
+/// (seed, src, dst, dst port, per-pair seq), so a faulty schedule replays
+/// exactly and is the same for either engine and any host-thread count.
 struct FaultConfig {
   bool delay_jitter = false;
   uint64_t seed = 0;
   double delay_probability = 0.25;      // chance a message is delayed
   int64_t max_extra_delay_ns = 100'000; // uniform extra delay in [0, max]
-  /// Test-only: shift every inter-node arrival by this many ns (may be
-  /// negative) AFTER jitter and the pairwise-FIFO clamp. A negative warp
-  /// can push an arrival below the windowed driver's conservative horizon;
-  /// the exchange step then re-windows it (clamps the arrival up to the
-  /// completed horizon, counting FabricStats::rewindowed) instead of ever
-  /// delivering into an engine's past. Exercised by tests/sim_parallel_
-  /// test.cpp; leave at 0 otherwise.
+  /// Test-only, windowed engine only: the exchange step shifts every
+  /// inter-node arrival by this many ns (may be negative). A negative warp
+  /// can push an arrival below the conservative horizon; the exchange then
+  /// re-windows it (clamps the arrival up to the completed horizon,
+  /// counting FabricStats::rewindowed) instead of ever delivering into an
+  /// engine's past. Exercised by tests/sim_parallel_test.cpp; leave at 0
+  /// otherwise. The classic engine ignores it.
   int64_t test_arrival_warp_ns = 0;
 };
 
@@ -82,11 +84,14 @@ struct FabricConfig {
                        .recv_overhead_ns = 150};
   FaultConfig faults{};
   /// Shared-backbone bandwidth (bytes/ns) every inter-node message must
-  /// serialize through after leaving its egress NIC. 0 disables the stage
-  /// entirely (the default — timing is then bit-identical to the
-  /// pre-backbone model). With it on, traffic between disjoint node sets
-  /// contends: co-scheduled jobs slow each other down measurably, which is
-  /// what ppm::jobs quantifies via FabricStats::per_node backbone_wait_ns.
+  /// serialize through after leaving its egress NIC, before the wire
+  /// latency. 0 disables the stage entirely (the default — timing is then
+  /// bit-identical to the pre-backbone model). With it on, traffic between
+  /// disjoint node sets contends: co-scheduled jobs slow each other down
+  /// measurably, which is what ppm::jobs quantifies via FabricStats::
+  /// per_node backbone_wait_ns. Classic engine only: the backbone is a
+  /// machine-global serialization point, which the windowed constructor
+  /// rejects.
   double backbone_bytes_per_ns = 0.0;
 };
 
@@ -158,8 +163,16 @@ class Endpoint {
   sim::Channel<Message> inbox_;
 };
 
+/// Both engines run the same timing pipeline in send(): sender overhead,
+/// egress serialization, the optional backbone, wire latency and fault
+/// jitter, then ingress at arrival. Only the hand-off differs: the classic
+/// engine schedules the ingress stage on its one event queue directly; the
+/// windowed engine parks the message in the source's outbox until the
+/// window barrier's exchange_cross_traffic() schedules it on the
+/// destination's engine.
 class Fabric {
  public:
+  /// Classic construction: every node's endpoints live on one engine.
   Fabric(sim::Engine& engine, FabricConfig config);
 
   /// Windowed construction (docs/SIM.md): one engine per node; node i's
@@ -171,8 +184,9 @@ class Fabric {
   /// source-partitioned timing).
   Fabric(const std::vector<sim::Engine*>& engines, FabricConfig config);
 
-  /// Send from the current fiber. Charges sender software overhead to the
-  /// calling fiber, then schedules delivery into the destination endpoint.
+  /// Send from a fiber of the source node's engine. Charges sender
+  /// software overhead to the calling fiber, then schedules delivery into
+  /// the destination endpoint.
   void send(Message msg);
 
   Endpoint& endpoint(int node, int port);
@@ -200,23 +214,19 @@ class Fabric {
   /// number of messages injected.
   uint64_t exchange_cross_traffic(int64_t horizon_ns);
 
-  /// Attach (or detach, with nullptr) a ppm::trace recorder; every send
-  /// then records a kMsgSend span (send time -> delivery time, with kind/
-  /// bytes/addressing and fault-delay attribution). Null by default: the
-  /// hook is one never-taken branch per send. Classic (single-engine)
-  /// mode only.
-  void set_trace_recorder(trace::Recorder* recorder) { tracer_ = recorder; }
-
-  /// Windowed-mode tracing: per-node recorders, indexed by node id. A
-  /// message's kMsgSend span is recorded on the track of the node whose
-  /// engine computes the final delivery time — the source for intra-node
-  /// traffic, the DESTINATION for cross-node traffic (the ingress stage
-  /// resolves there; recording anywhere else would race). Pass an empty
-  /// vector to detach.
+  /// Tracing: per-node recorders, indexed by node id. Every message then
+  /// records a kMsgSend span (send time -> delivery time, with kind/bytes/
+  /// addressing and fault-delay attribution) on the track of the node
+  /// whose engine computes the final delivery time — the source for
+  /// intra-node traffic, the DESTINATION for cross-node traffic (the
+  /// ingress stage resolves there; recording anywhere else would race in
+  /// windowed mode). Pass an empty vector to detach. Detached by default:
+  /// the hook is one never-taken branch per message.
   void set_node_trace_recorders(std::vector<trace::Recorder*> recorders);
 
  private:
-  /// One cross-engine message parked between windows.
+  /// One inter-node message on its way to the destination's ingress
+  /// stage.
   struct CrossMsg {
     int64_t arrival_ns;  // first byte at the destination NIC
     int64_t send_ns;     // trace attribution
@@ -224,41 +234,45 @@ class Fabric {
     uint64_t seq;        // per-source sequence, breaks remaining ties
     Message msg;
   };
+  /// Per (src node, dst node, dst port) fault-jitter state.
+  struct PairState {
+    uint64_t seq = 0;    // messages sent on the pair so far
+    int64_t floor = 0;   // previous (jittered) time: keeps the pair FIFO
+  };
 
-  void windowed_send(Message msg);
-  /// Deterministic per-message fault jitter for windowed mode: the shared
-  /// Rng draw order of the classic engine would depend on host-thread
-  /// interleaving, so windowed jitter is a pure hash of
-  /// (seed, src, dst, dst port, per-pair seq) instead.
-  int64_t windowed_jitter_ns(const Message& msg, uint64_t pair_seq);
+  Fabric(std::vector<sim::Engine*> engines, FabricConfig config,
+         bool windowed);
+  /// Fault jitter plus the pairwise FIFO floor, applied to `t_ns` (the
+  /// arrival of an inter-node message, the delivery of an intra-node one).
+  int64_t jittered_ns(const Message& msg, int64_t t_ns);
+  /// Ingress NIC serialization, receive overhead, the trace span and the
+  /// push into the destination endpoint, run on the destination's engine
+  /// at cm.arrival_ns.
+  void schedule_ingress(CrossMsg cm);
   void record_msg_span(trace::Recorder* rec, const Message& msg, bool intra,
                        int64_t t_send, size_t bytes, int64_t deliver_ns,
                        int64_t stretch_ns);
 
-  sim::Engine& engine_;
   FabricConfig config_;
+  bool windowed_;
+  // Per node: the engine hosting it (all the same engine in classic mode).
+  std::vector<sim::Engine*> node_engines_;
   std::vector<std::unique_ptr<Endpoint>> endpoints_;  // node-major
+  // Timing state. Each entry is owned by one node's engine: egress, the
+  // outbox, cross_seq_ and pairs_ by the source, ingress by the
+  // destination; the backbone exists in classic mode only.
   std::vector<int64_t> egress_free_ns_;   // per node
   std::vector<int64_t> ingress_free_ns_;  // per node
   int64_t backbone_free_ns_ = 0;          // shared backbone (see config)
+  std::vector<uint64_t> cross_seq_;       // per src node
+  // Per src node: (dst node, dst port) -> jitter state.
+  std::vector<std::unordered_map<uint64_t, PairState>> pairs_;
+  std::vector<trace::Recorder*> node_tracers_;  // per node (or empty)
   FabricStats stats_;
-  // Fault injection (see FaultConfig): jitter randomness and the per
-  // (src node, dst node, dst port) delivery floor that keeps pairwise FIFO.
-  Rng fault_rng_;
-  std::unordered_map<uint64_t, int64_t> fault_floor_;
-  trace::Recorder* tracer_ = nullptr;
 
-  // ---- Windowed mode state. Everything below is either owned by one
-  // node's engine (outbox_/cross_seq_/pair_*/egress indexed by src,
-  // ingress indexed by dst) or touched only at barriers (exchange scratch).
-  bool windowed_ = false;
-  std::vector<sim::Engine*> node_engines_;            // per node
-  std::vector<std::vector<CrossMsg>> outbox_;         // per src node
-  std::vector<uint64_t> cross_seq_;                   // per src node
-  // Per-source maps: (dst node, dst port) -> fault floor / pair seq.
-  std::vector<std::unordered_map<uint64_t, int64_t>> pair_floor_;
-  std::vector<std::unordered_map<uint64_t, uint64_t>> pair_seq_;
-  std::vector<trace::Recorder*> node_tracers_;        // per node (or empty)
+  // Windowed mode: parked cross-engine messages (per src node) and the
+  // exchange's merge scratch, touched only at window barriers.
+  std::vector<std::vector<CrossMsg>> outbox_;
   std::vector<CrossMsg> exchange_scratch_;
 };
 

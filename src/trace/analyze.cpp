@@ -142,16 +142,14 @@ Summary analyze(const Trace& trace) {
           if (open != nullptr) open->stall_ns += stalled;
           break;
         }
+        case EventKind::kMsgSend:
+          ++s.messages;
+          s.fault_delay_ns += e.aux;
+          break;
         default:
           break;
       }
     }
-  }
-
-  for (const Event& e : trace.fabric().ordered()) {
-    if (e.kind != EventKind::kMsgSend) continue;
-    ++s.messages;
-    s.fault_delay_ns += e.aux;
   }
 
   for (const auto& [index, acc] : phases) {

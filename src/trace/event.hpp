@@ -51,8 +51,9 @@ enum class EventKind : uint8_t {
   kMigrationMove,  // outbound block: a = array, b = block,
                    // c = (from << 32) | to
 
-  // Fabric (recorded on the fabric track). Span: t_ns = send time,
-  // c = delivery time.
+  // Fabric (recorded on the track of the node whose engine resolves the
+  // delivery: the destination for inter-node messages, the source for
+  // intra-node ones). Span: t_ns = send time, c = delivery time.
   kMsgSend,  // a = src<<48 | sport<<32 | dst<<16 | dport,
              // b = (top kind byte << 56) | payload bytes,
              // aux = fault-injected extra delay ns, flags bit0 = intra-node

@@ -223,6 +223,8 @@ void export_node(JsonEmitter& json, const Recorder& rec, uint32_t pid) {
                          "," + u64_arg("from", e.c >> 32) + "," +
                          u64_arg("to", e.c & 0xffffffffULL));
         break;
+      case EventKind::kMsgSend:
+        break;  // exported as spans of the fabric process below
       default:
         json.instant(pid, e.core, e.t_ns, kind_name(e.kind), "");
     }
@@ -251,23 +253,27 @@ std::string to_chrome_json(const Trace& trace) {
       last_ns = std::max(last_ns, e.t_ns);
     }
   }
-  for (const Event& e : trace.fabric().ordered()) {
-    if (e.kind != EventKind::kMsgSend) continue;
-    const uint64_t src = e.a >> 48;
-    const uint64_t dst = (e.a >> 16) & 0xffff;
-    const uint64_t kind_byte = e.b >> 56;
-    const uint64_t bytes = e.b & ((uint64_t{1} << 56) - 1);
-    std::string name = "msg " + std::to_string(src) + "->" +
-                       std::to_string(dst) + " k" +
-                       std::to_string(kind_byte);
-    if ((e.flags & kFlagBit0) != 0) name += " (intra)";
-    std::string args = u64_arg("bytes", bytes) + "," +
-                       u64_arg("sport", (e.a >> 32) & 0xffff) + "," +
-                       u64_arg("dport", e.a & 0xffff);
-    if (e.aux != 0) args += "," + u64_arg("fault_delay_ns", e.aux);
-    json.span(fabric_pid, e.core, e.t_ns, static_cast<int64_t>(e.c), name,
-              args);
-    last_ns = std::max(last_ns, static_cast<int64_t>(e.c));
+  // Message spans live on the node tracks (the node whose engine resolved
+  // the delivery); the fabric process shows them, one thread per source.
+  for (int n = 0; n < nodes; ++n) {
+    for (const Event& e : trace.node(n).ordered()) {
+      if (e.kind != EventKind::kMsgSend) continue;
+      const uint64_t src = e.a >> 48;
+      const uint64_t dst = (e.a >> 16) & 0xffff;
+      const uint64_t kind_byte = e.b >> 56;
+      const uint64_t bytes = e.b & ((uint64_t{1} << 56) - 1);
+      std::string name = "msg " + std::to_string(src) + "->" +
+                         std::to_string(dst) + " k" +
+                         std::to_string(kind_byte);
+      if ((e.flags & kFlagBit0) != 0) name += " (intra)";
+      std::string args = u64_arg("bytes", bytes) + "," +
+                         u64_arg("sport", (e.a >> 32) & 0xffff) + "," +
+                         u64_arg("dport", e.a & 0xffff);
+      if (e.aux != 0) args += "," + u64_arg("fault_delay_ns", e.aux);
+      json.span(fabric_pid, e.core, e.t_ns, static_cast<int64_t>(e.c), name,
+                args);
+      last_ns = std::max(last_ns, static_cast<int64_t>(e.c));
+    }
   }
   for (const Event& e : trace.engine().ordered()) {
     json.instant(sim_pid, 0, e.t_ns, kind_name(e.kind),
@@ -280,10 +286,6 @@ std::string to_chrome_json(const Trace& trace) {
       json.instant(static_cast<uint32_t>(n), 0, last_ns, "events_dropped",
                    u64_arg("count", trace.node(n).dropped()));
     }
-  }
-  if (trace.fabric().dropped() > 0) {
-    json.instant(fabric_pid, 0, last_ns, "events_dropped",
-                 u64_arg("count", trace.fabric().dropped()));
   }
   return json.finish(process_names);
 }
@@ -316,9 +318,8 @@ Bytes to_binary(const Trace& trace) {
   w.put(kBinaryMagic);
   w.put(kBinaryVersion);
   w.put(static_cast<uint32_t>(trace.nodes()));
-  w.put(static_cast<uint32_t>(trace.nodes() + 2));  // track count
+  w.put(static_cast<uint32_t>(trace.nodes() + 1));  // track count
   for (int n = 0; n < trace.nodes(); ++n) put_track(w, trace.node(n));
-  put_track(w, trace.fabric());
   put_track(w, trace.engine());
   return std::move(w).take();
 }

@@ -15,7 +15,8 @@ class Trace;
 
 /// Chrome trace-event JSON: `{"traceEvents": [...]}` with one process per
 /// node (pid = node id, one thread per core), a "fabric" process carrying
-/// message spans (one thread per source node), and a "sim" process with
+/// the message spans of every node track (one thread per source node), and
+/// a "sim" process with
 /// engine step marks. Phase compute/commit, VP batches, fetch stalls, and
 /// messages are complete ("X") spans; the rest are instants.
 std::string to_chrome_json(const Trace& trace);
@@ -26,6 +27,6 @@ std::string to_chrome_json(const Trace& trace);
 Bytes to_binary(const Trace& trace);
 
 inline constexpr uint32_t kBinaryMagic = 0x544d5050;  // "PPMT" little-endian
-inline constexpr uint32_t kBinaryVersion = 1;
+inline constexpr uint32_t kBinaryVersion = 2;
 
 }  // namespace ppm::trace

@@ -55,8 +55,7 @@ std::vector<Event> Recorder::ordered() const {
 }
 
 Trace::Trace(int nodes, size_t capacity_per_track)
-    : fabric_(static_cast<uint32_t>(nodes), capacity_per_track),
-      engine_(static_cast<uint32_t>(nodes) + 1, capacity_per_track) {
+    : engine_(static_cast<uint32_t>(nodes) + 1, capacity_per_track) {
   node_tracks_.reserve(static_cast<size_t>(nodes));
   for (int n = 0; n < nodes; ++n) {
     node_tracks_.emplace_back(static_cast<uint32_t>(n), capacity_per_track);
@@ -64,13 +63,13 @@ Trace::Trace(int nodes, size_t capacity_per_track)
 }
 
 uint64_t Trace::total_recorded() const {
-  uint64_t total = fabric_.recorded() + engine_.recorded();
+  uint64_t total = engine_.recorded();
   for (const Recorder& r : node_tracks_) total += r.recorded();
   return total;
 }
 
 uint64_t Trace::total_dropped() const {
-  uint64_t total = fabric_.dropped() + engine_.dropped();
+  uint64_t total = engine_.dropped();
   for (const Recorder& r : node_tracks_) total += r.dropped();
   return total;
 }

@@ -1,12 +1,13 @@
 // Per-track ring-buffer event recorder of ppm::trace.
 //
-// One Recorder per node plus one for the fabric and one for the simulation
-// engine, owned together by a Trace. The hot-path contract mirrors the
-// validator's: subsystems hold a nullable Recorder* and guard every record
-// with a single `if (tracer_) [[unlikely]]` branch, so a build with tracing
-// off pays one never-taken branch per instrumentation point and nothing
-// else. The simulator is single-threaded on the host (one fiber runs at a
-// time), so the ring needs no synchronization — "lock-free" comes for free.
+// One Recorder per node plus one for the simulation engine, owned together
+// by a Trace. The hot-path contract mirrors the validator's: subsystems
+// hold a nullable Recorder* and guard every record with a single
+// `if (tracer_) [[unlikely]]` branch, so a build with tracing off pays one
+// never-taken branch per instrumentation point and nothing else. Only one
+// engine writes a recorder (a node's track is written by that node's
+// engine, which runs one fiber or event at a time), so the ring needs no
+// synchronization.
 //
 // The ring has fixed capacity and overwrites the OLDEST event on wrap,
 // counting every overwrite in dropped(): a bounded-memory flight recorder
@@ -24,9 +25,9 @@ namespace ppm::trace {
 
 class Recorder {
  public:
-  /// `track` is the recorder's stable display id (node id; nodes and
-  /// nodes+1 for the fabric/engine tracks of a Trace). Capacity is clamped
-  /// to at least one event and preallocated up front.
+  /// `track` is the recorder's stable display id (node id; nodes+1 for the
+  /// engine track of a Trace, matching its Chrome "sim" process). Capacity
+  /// is clamped to at least one event and preallocated up front.
   explicit Recorder(uint32_t track, size_t capacity_events);
 
   void record(const Event& e) {
@@ -68,9 +69,10 @@ class Recorder {
   std::vector<std::string> labels_;  // labels_[id - 1] holds id's text
 };
 
-/// All recorders of one traced run: one per node, one for the fabric, one
-/// for the simulation engine. Owned by ppm::Runtime when
-/// RuntimeOptions::trace is set; the exporters and analyzer consume it.
+/// All recorders of one traced run: one per node (its runtime events and
+/// the kMsgSend spans of the messages its engine delivers) and one for the
+/// simulation engine. Owned by ppm::Runtime when RuntimeOptions::trace is
+/// set; the exporters and analyzer consume it.
 class Trace {
  public:
   Trace(int nodes, size_t capacity_per_track);
@@ -82,8 +84,6 @@ class Trace {
   const Recorder& node(int node_id) const {
     return node_tracks_[static_cast<size_t>(node_id)];
   }
-  Recorder& fabric() { return fabric_; }
-  const Recorder& fabric() const { return fabric_; }
   Recorder& engine() { return engine_; }
   const Recorder& engine() const { return engine_; }
 
@@ -92,7 +92,6 @@ class Trace {
 
  private:
   std::vector<Recorder> node_tracks_;
-  Recorder fabric_;
   Recorder engine_;
 };
 

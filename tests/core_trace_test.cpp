@@ -31,10 +31,12 @@ struct TracedRun {
 /// Irregular multi-node workload with remote reads (stencil wraps across
 /// the block boundaries), labeled phases, and rng-skewed per-VP work.
 TracedRun run_workload(bool trace, SchedulePolicy schedule,
-                       uint32_t buffer_events = 1u << 16) {
+                       uint32_t buffer_events = 1u << 16,
+                       int sim_threads = 0) {
   PpmConfig cfg;
   cfg.machine.nodes = 3;
   cfg.machine.cores_per_node = 4;
+  cfg.machine.sim_threads = sim_threads;
   cfg.runtime.schedule = schedule;
   cfg.runtime.profile_phases = true;
   cfg.runtime.trace = trace;
@@ -176,6 +178,29 @@ TEST(TraceTest, SummaryAndLabelsFlow) {
   EXPECT_FALSE(s.to_string().empty());
   // Labels land in the Chrome export and the profile rows.
   EXPECT_NE(on.json.find("stencil"), std::string::npos);
+}
+
+TEST(TraceTest, EveryMessageIsOneFabricSpanOnBothEngines) {
+  for (const int sim_threads : {0, 1}) {
+    SCOPED_TRACE(sim_threads);
+    const TracedRun on = run_workload(true, SchedulePolicy::kStatic,
+                                      1u << 16, sim_threads);
+    ASSERT_EQ(on.trace_dropped, 0u);
+    EXPECT_EQ(on.result.trace_summary.messages,
+              on.result.network_messages + on.result.intranode_messages);
+    // One exported item per line; every message is an "X" span.
+    uint64_t spans = 0;
+    size_t pos = 0;
+    while (pos < on.json.size()) {
+      const size_t end = on.json.find('\n', pos);
+      const std::string line = on.json.substr(pos, end - pos);
+      pos = end == std::string::npos ? on.json.size() : end + 1;
+      if (line.find("\"name\":\"msg") == std::string::npos) continue;
+      EXPECT_EQ(line.rfind("{\"ph\":\"X\"", 0), 0u) << line;
+      ++spans;
+    }
+    EXPECT_EQ(spans, on.result.trace_summary.messages);
+  }
 }
 
 TEST(TraceTest, CounterRollupAggregatesAcrossNodes) {

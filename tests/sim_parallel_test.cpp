@@ -1,12 +1,14 @@
 // Conservative-window parallel simulator (docs/SIM.md): bit-identical
 // replay across host-thread counts, zero-latency self-messages, delivery
-// exactly on a window edge, and the fault-warp re-window clamp (delays
-// shrinking below the lookahead are clamped, never reordered).
+// exactly on a window edge, the fault-warp re-window clamp (delays
+// shrinking below the lookahead are clamped, never reordered), and
+// agreement with the classic engine under fault jitter.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "apps/cg/cg_ppm.hpp"
 #include "cluster/machine.hpp"
 #include "core/ppm.hpp"
 #include "util/byte_buffer.hpp"
@@ -366,6 +368,42 @@ TEST(SimParallel, NegativeWarpIsRewindowedNeverReordered) {
   // Clamped arrivals are never early: every delivery sits at or after the
   // modeled minimum (send overhead + wire latency).
   for (const int64_t t : t1) EXPECT_GE(t, 5'000);
+}
+
+/// A 9-node CG under fault jitter, on the classic engine (sim_threads 0)
+/// or the windowed one. Returns the residual history through `residuals`.
+RunResult run_faulted_cg(int sim_threads, std::vector<double>* residuals) {
+  PpmConfig c;
+  c.machine.nodes = 9;
+  c.machine.cores_per_node = 4;
+  c.machine.sim_threads = sim_threads;
+  c.machine.faults.delay_jitter = true;
+  c.machine.faults.seed = 5;
+  c.machine.faults.delay_probability = 0.5;
+  c.machine.faults.max_extra_delay_ns = 20'000;
+  return run(c, [&](Env& env) {
+    const auto out = apps::cg::cg_solve_ppm(
+        env, {.nx = 12, .ny = 12, .nz = 24}, {.max_iterations = 8});
+    if (env.node_id() == 0) *residuals = out.residual_history;
+  });
+}
+
+TEST(SimParallel, FaultedCgAgreesAcrossEngineKinds) {
+  // Both engines run one fabric timing path (ingress booked at arrival)
+  // and one jitter hash, so the same faulted program sends the same
+  // traffic and lands within 1% in vtime; only same-time ingress ties may
+  // resolve differently.
+  std::vector<double> res0, res1;
+  const RunResult classic = run_faulted_cg(0, &res0);
+  const RunResult windowed = run_faulted_cg(1, &res1);
+  EXPECT_EQ(res0, res1);
+  EXPECT_EQ(classic.network_messages, windowed.network_messages);
+  EXPECT_EQ(classic.network_bytes, windowed.network_bytes);
+  EXPECT_EQ(classic.intranode_messages, windowed.intranode_messages);
+  EXPECT_EQ(classic.intranode_bytes, windowed.intranode_bytes);
+  EXPECT_NEAR(static_cast<double>(classic.duration_ns),
+              static_cast<double>(windowed.duration_ns),
+              0.01 * static_cast<double>(windowed.duration_ns));
 }
 
 TEST(SimParallel, ClampFallsBackToClassicEngine) {

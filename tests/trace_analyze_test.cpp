@@ -63,9 +63,11 @@ Trace build_known_trace() {
   n1.record(make(EventKind::kPhaseComputeDone, 300, 0));
   n1.record(make(EventKind::kPhaseCommitted, 360, 0));
 
-  // Two fabric messages, one carrying 25ns of fault-injected delay.
-  t.fabric().record(make(EventKind::kMsgSend, 40, 0, 128, 90, 0, 0));
-  t.fabric().record(make(EventKind::kMsgSend, 60, 0, 256, 130, 0, 25));
+  // Two messages 0 -> 1, one carrying 25ns of fault-injected delay: the
+  // fabric records them on the destination's track.
+  const uint64_t addr = uint64_t{1} << 16;  // src 0, dst 1
+  n1.record(make(EventKind::kMsgSend, 40, addr, 128, 90, 0, 0));
+  n1.record(make(EventKind::kMsgSend, 60, addr, 256, 130, 0, 25));
 
   t.engine().record(make(EventKind::kEngineStep, 100, 12));
   return t;
@@ -181,6 +183,11 @@ TEST(TraceAnalyzeTest, ExportOfHandBuiltTraceIsWellFormed) {
   EXPECT_NE(json.find("\"sim\""), std::string::npos);
   EXPECT_NE(json.find("foo"), std::string::npos);
   EXPECT_EQ(json.find("events_dropped"), std::string::npos);
+  // Messages are spans on the fabric process (pid 2), never node instants.
+  EXPECT_NE(json.find("{\"ph\":\"X\",\"pid\":2,\"tid\":0,\"ts\":0.040,"
+                      "\"dur\":0.050,\"name\":\"msg 0->1 k0\""),
+            std::string::npos);
+  EXPECT_EQ(json.find("\"name\":\"msg\""), std::string::npos);
   // Deterministic: same Trace, same bytes.
   EXPECT_EQ(json, to_chrome_json(build_known_trace()));
 

@@ -134,6 +134,53 @@ print(f"windowed determinism OK: trace + {len(one)} result fields "
 PY
 echo "parallel engine determinism OK"
 
+echo "=== cross-engine agreement gate (docs/SIM.md) ==="
+# One machine model, one answer: the classic engine (sim_threads 0) and
+# the windowed one run the same fabric timing path, so the same program
+# must land within 1% in vtime on either. Traffic must match exactly for
+# cg, matgen and bfs; Barnes-Hut's tree walks may send a few messages more
+# or fewer when a same-time ingress tie resolves the other way (0.01%).
+for app in cg matgen barneshut bfs; do
+  for n in 16 64; do
+    for t in 0 1; do
+      ASAN_OPTIONS=detect_leaks=0 \
+        build/tools/ppm_cli --app="${app}" --nodes="${n}" --cores=4 \
+          --calibration=0 --sim-threads="${t}" \
+          --json="build/engines_${app}_${n}_${t}.json" >/dev/null
+    done
+  done
+done
+python3 - build <<'PY'
+import json, sys
+worst = (0.0, "")
+for app in ("cg", "matgen", "barneshut", "bfs"):
+    for n in (16, 64):
+        runs = []
+        for t in (0, 1):
+            with open(f"{sys.argv[1]}/engines_{app}_{n}_{t}.json") as f:
+                runs.append(json.load(f))
+        classic, windowed = runs
+        gap = classic["duration_ns"] / windowed["duration_ns"] - 1
+        print(f"engines: {app:<9} N={n:<3} vtime {classic['duration_ns']} vs "
+              f"{windowed['duration_ns']} ns ({gap:+.3%}), messages "
+              f"{classic['network_messages']} vs "
+              f"{windowed['network_messages']}, bytes "
+              f"{classic['network_bytes']} vs {windowed['network_bytes']}")
+        worst = max(worst, (abs(gap), f"{app} N={n}"))
+        if abs(gap) > 0.01:
+            sys.exit(f"FAIL: {app} at {n} nodes: classic and windowed vtime "
+                     f"differ by {gap:+.3%} (limit 1%)")
+        for key in ("network_messages", "network_bytes"):
+            a, b = classic[key], windowed[key]
+            limit = 1e-4 * b if app == "barneshut" else 0
+            if abs(a - b) > limit:
+                sys.exit(f"FAIL: {app} at {n} nodes: {key} {a} (classic) "
+                         f"vs {b} (windowed)")
+print(f"cross-engine agreement OK: largest vtime gap {worst[0]:.3%} "
+      f"({worst[1]})")
+PY
+echo "cross-engine agreement gate OK"
+
 echo "=== jobs report schema (ppm_jobs --json gate) ==="
 # The ppm_jobs/v1 JSON report is a stable machine-readable surface
 # (docs/SCHEDULER.md); validate field presence and types structurally.
